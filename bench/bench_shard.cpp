@@ -1,26 +1,23 @@
 // bench_shard: records the million-sample shard storage baseline.
 //
-// Three arms over identical workloads at n = 10^4, 10^5 and (full runs)
+// Two arms over identical workloads at n = 10^4, 10^5 and (full runs)
 // 10^6 samples of 128-byte payloads:
 //
 //   * file:          FileSampleStore — one file per sample, the paper's
 //     supported layout. Every load pays an open/read/close metadata round
 //     trip, which is what makes million-sample shards hopeless on it.
-//   * mmap/hash:     MmapSampleStore with the open-addressing slot index —
-//     append-allocated segment files, zero-copy span reads, epoch-based
-//     reclamation.
-//   * mmap/learned:  the same store under the learned (piecewise-linear)
-//     slot index.
+//   * mmap:          MmapSampleStore — append-allocated segment files,
+//     zero-copy span reads, epoch-based reclamation.
 //
 // Per arm and size it measures insert / lookup (load_into, the PayloadFn
 // shape) / sequential scan (read() spans) / remove throughput plus the
 // resident and live-payload footprints. This TU replaces global operator
 // new with a counting wrapper so the lookup column also reports exact heap
-// allocations per op — the mmap arms must show 0 in steady state. --out
-// writes BENCH_shard.json (schema dshuf.bench_shard.v1); --check re-reads
-// a written file and enforces the PR's acceptance floor — every mmap arm
-// must load >= 10x faster than FileSampleStore at the largest recorded
-// size — which is the CI perf-smoke gate. Absolute throughput on shared
+// allocations per op — the mmap arm must show 0 in steady state. --out
+// writes BENCH_shard.json (schema dshuf.bench_shard.v2); --check re-reads
+// a written file and enforces the acceptance floor — the mmap arm must
+// load >= 10x faster than FileSampleStore at the largest recorded size —
+// which is the CI perf-smoke gate. Absolute throughput on shared
 // runners is informational; the ratio is the contract (and on a real PFS
 // the per-file metadata latency only widens it).
 #include <algorithm>
@@ -81,7 +78,7 @@ struct ArmResult {
   double remove_sps = 0.0;
   std::size_t resident_bytes = 0;  // mapped footprint (file arm: disk)
   std::size_t disk_bytes = 0;      // live payload bytes
-  double load_ratio_vs_file = 0.0;  // filled for the mmap arms
+  double load_ratio_vs_file = 0.0;  // filled for the mmap arm
 };
 
 void fill_payload(data::SampleId id, std::vector<std::byte>& buf) {
@@ -145,7 +142,7 @@ void run_workload(io::SampleStore& store, std::size_t n, ArmResult& res) {
   res.disk_bytes = store.disk_bytes();
 
   // Removes last — they shrink the store. Spread across the id range so
-  // the mmap arms quarantine from many segments, not one.
+  // the mmap arm quarantines from many segments, not one.
   const std::size_t remove_n = std::min(n, kRemoveOpsCap);
   const std::size_t stride = n / remove_n;
   sw.reset();
@@ -166,14 +163,10 @@ ArmResult run_file_arm(const fs::path& dir, std::size_t n) {
   return res;
 }
 
-ArmResult run_mmap_arm(const fs::path& dir, std::size_t n,
-                       io::SlotIndexKind kind) {
+ArmResult run_mmap_arm(const fs::path& dir, std::size_t n) {
   ArmResult res;
-  res.arm = std::string("mmap/") + io::to_string(kind);
-  io::MmapStoreConfig cfg;
-  cfg.dir = dir;
-  cfg.index_kind = kind;
-  io::MmapSampleStore store(cfg);
+  res.arm = "mmap";
+  io::MmapSampleStore store(dir);
   run_workload(store, n, res);
   store.advance_epoch();  // retire the removed slots' quarantine
   res.resident_bytes = store.resident_bytes();
@@ -193,21 +186,21 @@ int run_check(const std::string& path) {
   std::stringstream buf;
   buf << in.rdbuf();
   const json::Value doc = json::parse(buf.str());
-  DSHUF_CHECK_EQ(doc.at("schema").as_string(), "dshuf.bench_shard.v1",
+  DSHUF_CHECK_EQ(doc.at("schema").as_string(), "dshuf.bench_shard.v2",
                  "unexpected schema in " << path);
   const auto& sizes = doc.at("sizes").as_array();
   DSHUF_CHECK(!sizes.empty(), "no sizes recorded in " << path);
   for (const auto& s : sizes) {
-    DSHUF_CHECK_EQ(s.at("arms").as_array().size(), 3U,
-                   "expected file + two mmap arms");
+    DSHUF_CHECK_EQ(s.at("arms").as_array().size(), 2U,
+                   "expected file + mmap arms");
     for (const auto& a : s.at("arms").as_array()) {
       DSHUF_CHECK_GT(a.at("insert_sps").as_number(), 0.0, "bad insert_sps");
       DSHUF_CHECK_GT(a.at("lookup_sps").as_number(), 0.0, "bad lookup_sps");
     }
   }
-  // The PR's acceptance floor: at the largest recorded shard size, BOTH
-  // mmap arms must load >= 10x faster than the per-file baseline, and
-  // their steady-state lookups must be allocation-free.
+  // The acceptance floor: at the largest recorded shard size, the mmap
+  // arm must load >= 10x faster than the per-file baseline, and its
+  // steady-state lookups must be allocation-free.
   const auto& largest = sizes.back();
   for (const auto& a : largest.at("arms").as_array()) {
     if (a.at("arm").as_string() == "file") continue;
@@ -252,10 +245,7 @@ int main(int argc, char** argv) {
   for (const std::size_t n : sizes) {
     std::vector<ArmResult> arms;
     arms.push_back(run_file_arm(root / "file", n));
-    arms.push_back(
-        run_mmap_arm(root / "hash", n, io::SlotIndexKind::kOpenAddressing));
-    arms.push_back(
-        run_mmap_arm(root / "learned", n, io::SlotIndexKind::kLearned));
+    arms.push_back(run_mmap_arm(root / "mmap", n));
     for (ArmResult& a : arms) {
       if (a.arm != "file") {
         a.load_ratio_vs_file = a.lookup_sps / arms.front().lookup_sps;
@@ -278,7 +268,7 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get("out");
   if (!out_path.empty()) {
     std::ostringstream j;
-    j << "{\n  \"schema\": \"dshuf.bench_shard.v1\",\n"
+    j << "{\n  \"schema\": \"dshuf.bench_shard.v2\",\n"
       << "  \"config\": {\"payload_bytes\": " << kPayloadBytes
       << ", \"lookup_ops\": " << kLookupOps
       << ", \"scan_ops_cap\": " << kScanOpsCap

@@ -13,8 +13,7 @@
 // --store selects the io::SampleStore backend: "file" (one file per
 // sample, the paper's supported layout) or "mmap" (segment files +
 // epoch-based reclamation; the capacity_bytes knob enforces the
-// (1+Q)*N/M bound byte-exactly on disk). --index selects the id->slot
-// backend for the mmap store: "hash" or "learned".
+// (1+Q)*N/M bound byte-exactly on disk).
 #include <filesystem>
 #include <iostream>
 #include <memory>
@@ -42,7 +41,6 @@ int main(int argc, char** argv) {
   args.flag("epochs", "4", "exchange epochs to run");
   args.flag("seed", "17", "shared seed (synchronises the plan)");
   args.flag("store", "file", "payload store backend: file | mmap");
-  args.flag("index", "hash", "mmap id->slot backend: hash | learned");
   if (!args.parse(argc, argv)) return 0;
 
   const int ranks = static_cast<int>(args.get_int("ranks"));
@@ -57,9 +55,6 @@ int main(int argc, char** argv) {
     std::cerr << "unknown --store backend: " << store_kind << "\n";
     return 1;
   }
-  const io::SlotIndexKind index_kind = args.get("index") == "learned"
-                                           ? io::SlotIndexKind::kLearned
-                                           : io::SlotIndexKind::kOpenAddressing;
 
   // A small dataset whose rows are the payloads we ship around.
   data::ClassClusterSpec spec{.num_classes = 8,
@@ -90,8 +85,7 @@ int main(int argc, char** argv) {
       files.push_back(std::make_unique<io::MmapSampleStore>(
           io::MmapStoreConfig{.dir = dir,
                               .capacity_bytes = (shard + quota) *
-                                                dataset.bytes_per_sample(),
-                              .index_kind = index_kind}));
+                                                dataset.bytes_per_sample()}));
     } else {
       files.push_back(std::make_unique<io::FileSampleStore>(dir));
     }

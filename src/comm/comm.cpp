@@ -112,6 +112,13 @@ class WorldState {
                        << "(one OS thread per rank); run paper-scale M on "
                        << "the event-driven netsim::VirtualWorld instead");
     slots_.init(num_ranks);
+    // An exchange epoch parks at most one frame per peer in a mailbox,
+    // and a rank can post its next epoch before a slow receiver drains
+    // this one. Sizing for two epochs up front keeps mailbox growth out of
+    // the steady state, however the rank threads happen to interleave.
+    for (auto& mb : mailboxes_) {
+      mb.arrived.reserve(2 * static_cast<std::size_t>(num_ranks));
+    }
   }
 
   [[nodiscard]] int size() const { return size_; }

@@ -84,7 +84,6 @@ MmapSampleStore::MmapSampleStore(MmapStoreConfig cfg) : cfg_(std::move(cfg)) {
   DSHUF_CHECK_GE(cfg_.segment_bytes, kHeaderBytes + 1,
                  "segment_bytes too small to hold a record");
   fs::create_directories(cfg_.dir);
-  index_ = make_slot_index(cfg_.index_kind);
   std::lock_guard<RankedMutex> lk(mu_);
   // analyze:blocking-ok one-time directory walk + mmap replay at store open
   open_existing_locked();
@@ -147,14 +146,14 @@ void MmapSampleStore::open_existing_locked() {
       const auto id =
           static_cast<data::SampleId>(load_u32(seg.base + off + 4));
       if (enc == kTombstone) {
-        index_->erase(id);
+        index_.erase(id);
         off += kHeaderBytes;
         continue;
       }
       const std::size_t plen = enc - 1;
       DSHUF_CHECK_LE(off + kHeaderBytes + plen, len,
                      "mmap_store: truncated record in " << path);
-      index_->put(id, pack_ref(seq, off));
+      index_.put(id, pack_ref(seq, off));
       off += kHeaderBytes + plen;
     }
     seg.bump = off;
@@ -164,7 +163,7 @@ void MmapSampleStore::open_existing_locked() {
   // left behind by replayed overwrites/tombstones is simply not counted,
   // so compaction sees it immediately.
   live_bytes_ = 0;
-  index_->for_each([this](data::SampleId, std::uint64_t ref) {
+  index_.for_each([this](data::SampleId, std::uint64_t ref) {
     Segment& seg = segs_[ref_seg(ref)];
     const std::size_t plen = load_u32(seg.base + ref_off(ref)) - 1;
     seg.live_records += 1;
@@ -267,7 +266,7 @@ void MmapSampleStore::save(data::SampleId id,
                            std::span<const std::byte> payload) {
   std::lock_guard<RankedMutex> lk(mu_);
   std::uint64_t old_ref = 0;
-  const bool had = index_->find(id, old_ref);
+  const bool had = index_.find(id, old_ref);
   const std::size_t old_len =
       had ? load_u32(segs_[ref_seg(old_ref)].base + ref_off(old_ref)) - 1 : 0;
   if (cfg_.capacity_bytes != 0) {
@@ -279,7 +278,7 @@ void MmapSampleStore::save(data::SampleId id,
                                        << ") exceeds capacity_bytes bound");
   }
   const std::uint64_t ref = append_locked(id, payload);
-  index_->put(id, ref);
+  index_.put(id, ref);
   if (had) quarantine_locked(old_ref, static_cast<std::uint32_t>(old_len));
   live_bytes_ += payload.size() - old_len;
   DSHUF_COUNTER("store.saves").add(1);
@@ -296,7 +295,7 @@ std::span<const std::byte> MmapSampleStore::payload_at(
 MmapSampleStore::PinnedView MmapSampleStore::pin(data::SampleId id) const {
   std::unique_lock<RankedMutex> lk(mu_);
   std::uint64_t ref = 0;
-  DSHUF_CHECK(index_->find(id, ref),
+  DSHUF_CHECK(index_.find(id, ref),
               "mmap_store: sample " << id << " not stored");
   const auto bytes = payload_at(ref);
   // Claim a pin slot while still holding the lock: reclaim (also under
@@ -340,9 +339,9 @@ void MmapSampleStore::load_into(data::SampleId id,
 void MmapSampleStore::remove(data::SampleId id) {
   std::lock_guard<RankedMutex> lk(mu_);
   std::uint64_t ref = 0;
-  DSHUF_CHECK(index_->find(id, ref),
+  DSHUF_CHECK(index_.find(id, ref),
               "remove: sample " << id << " not stored");
-  index_->erase(id);
+  index_.erase(id);
   const std::uint32_t len =
       load_u32(segs_[ref_seg(ref)].base + ref_off(ref)) - 1;
   // The record's bytes stay untouched (a pinned reader may still be on
@@ -357,14 +356,14 @@ void MmapSampleStore::remove(data::SampleId id) {
 bool MmapSampleStore::contains(data::SampleId id) const {
   std::lock_guard<RankedMutex> lk(mu_);
   std::uint64_t ref = 0;
-  return index_->find(id, ref);
+  return index_.find(id, ref);
 }
 
 std::vector<data::SampleId> MmapSampleStore::list() const {
   std::lock_guard<RankedMutex> lk(mu_);
   std::vector<data::SampleId> ids;
-  ids.reserve(index_->size());
-  index_->for_each(
+  ids.reserve(index_.size());
+  index_.for_each(
       [&ids](data::SampleId id, std::uint64_t) { ids.push_back(id); });
   std::sort(ids.begin(), ids.end());
   return ids;
@@ -372,7 +371,7 @@ std::vector<data::SampleId> MmapSampleStore::list() const {
 
 std::size_t MmapSampleStore::size() const {
   std::lock_guard<RankedMutex> lk(mu_);
-  return index_->size();
+  return index_.size();
 }
 
 std::size_t MmapSampleStore::disk_bytes() const {
@@ -416,7 +415,7 @@ void MmapSampleStore::free_segment_locked(std::size_t seg_idx) {
       if (enc == kTombstone) {
         const auto id = static_cast<data::SampleId>(load_u32(base + off + 4));
         std::uint64_t cur = 0;
-        if (!index_->find(id, cur)) append_tombstone_locked(id);
+        if (!index_.find(id, cur)) append_tombstone_locked(id);
         off += kHeaderBytes;
       } else {
         off += kHeaderBytes + (enc - 1);
@@ -506,11 +505,11 @@ void MmapSampleStore::compact_locked() {
       std::uint64_t cur = 0;
       // Only records the index still points at are live; stale extents
       // (overwritten or removed) are already in quarantine.
-      if (index_->find(id, cur) && cur == pack_ref(i, off)) {
+      if (index_.find(id, cur) && cur == pack_ref(i, off)) {
         const std::span<const std::byte> payload{base + off + kHeaderBytes,
                                                  plen};
         const std::uint64_t moved = append_locked(id, payload);
-        index_->put(id, moved);
+        index_.put(id, moved);
         quarantine_locked(pack_ref(i, off),
                           static_cast<std::uint32_t>(plen));
       }
@@ -593,7 +592,7 @@ std::size_t MmapSampleStore::segment_count() const {
 
 SlotIndexStats MmapSampleStore::index_stats() const {
   std::lock_guard<RankedMutex> lk(mu_);
-  return index_->stats();
+  return index_.stats();
 }
 
 }  // namespace dshuf::io

@@ -4,9 +4,8 @@
 // per sample — fine at thousands of samples per rank, hopeless at the
 // paper's million-sample shards. MmapSampleStore amortises that cost
 // over fixed-size SEGMENT files: payloads are append-allocated into the
-// current segment's mapping, the id -> slot map is a pluggable
-// io::SlotIndex (open-addressing or learned, ScopedSlotIndex-selectable),
-// and a read hands out a std::span pointing STRAIGHT INTO the mapped
+// current segment's mapping, the id -> slot map is an io::SlotIndex hash
+// table, and a read hands out a std::span pointing STRAIGHT INTO the mapped
 // segment — zero copies between page cache and the exchange's wire frame
 // or the batch tensor.
 //
@@ -50,7 +49,6 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -72,9 +70,6 @@ struct MmapStoreConfig {
   /// Sealed segments whose live payload fraction falls below this are
   /// compacted on advance_epoch().
   double compact_live_fraction = 0.25;
-  /// Index backend; defaults to the process-wide ScopedSlotIndex choice
-  /// at construction time.
-  SlotIndexKind index_kind = slot_index_kind();
 };
 
 class MmapSampleStore final : public SampleStore {
@@ -153,7 +148,6 @@ class MmapSampleStore final : public SampleStore {
   [[nodiscard]] std::uint64_t reclaim_lag() const;
   /// Mapped segment files.
   [[nodiscard]] std::size_t segment_count() const;
-  [[nodiscard]] SlotIndexKind index_kind() const { return cfg_.index_kind; }
   [[nodiscard]] SlotIndexStats index_stats() const;
   [[nodiscard]] const std::filesystem::path& dir() const { return cfg_.dir; }
 
@@ -194,7 +188,7 @@ class MmapSampleStore final : public SampleStore {
   MmapStoreConfig cfg_;
   std::vector<Segment> segs_;
   std::size_t active_ = SIZE_MAX;  // index into segs_, SIZE_MAX = none
-  std::unique_ptr<SlotIndex> index_;
+  SlotIndex index_;
   std::vector<Quarantined> quarantine_;  // FIFO; head_ is the pop cursor
   std::size_t quarantine_head_ = 0;
   std::size_t live_bytes_ = 0;

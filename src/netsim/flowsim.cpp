@@ -282,26 +282,14 @@ SimOutcome simulate_flows(const std::vector<Flow>& flows,
 }
 
 std::vector<Flow> flows_from_plan(const shuffle::ExchangePlan& plan,
-                                  double bytes_per_sample) {
-  std::vector<Flow> flows;
-  flows.reserve(plan.rounds() * static_cast<std::size_t>(plan.workers()));
-  for (std::size_t i = 0; i < plan.rounds(); ++i) {
-    for (int r = 0; r < plan.workers(); ++r) {
-      flows.push_back(Flow{r, plan.dest(i, r), bytes_per_sample, 0.0, true});
-    }
-  }
-  return flows;
-}
-
-std::vector<Flow> flows_from_hierarchical_plan(
-    const shuffle::HierarchicalExchangePlan& plan, double bytes_per_sample) {
+                                  double bytes_per_sample, int group_size) {
   std::vector<Flow> flows;
   flows.reserve(plan.rounds() * static_cast<std::size_t>(plan.workers()));
   for (std::size_t i = 0; i < plan.rounds(); ++i) {
     for (int r = 0; r < plan.workers(); ++r) {
       const int d = plan.dest(i, r);
-      flows.push_back(Flow{r, d, bytes_per_sample, 0.0,
-                           plan.group_of(r) != plan.group_of(d)});
+      const bool crosses = group_size == 0 || r / group_size != d / group_size;
+      flows.push_back(Flow{r, d, bytes_per_sample, 0.0, crosses});
     }
   }
   return flows;

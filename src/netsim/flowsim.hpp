@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "shuffle/exchange_plan.hpp"
-#include "shuffle/hierarchical.hpp"
 
 namespace dshuf::netsim {
 
@@ -69,15 +68,13 @@ SimOutcome simulate_flows(const std::vector<Flow>& flows,
 SimOutcome simulate_flows_reference(const std::vector<Flow>& flows,
                                     const LinkCaps& caps, int ranks);
 
-/// Flows for one epoch of the balanced Algorithm-1 exchange: one message
-/// per (round, rank), all injected at t = 0.
+/// Flows for one epoch of an exchange plan: one message per (round,
+/// rank), all injected at t = 0. With `group_size` > 0 ranks form
+/// contiguous groups of that size and intra-group messages bypass the
+/// fabric (they ride node-local links); 0 sends every message across it.
 std::vector<Flow> flows_from_plan(const shuffle::ExchangePlan& plan,
-                                  double bytes_per_sample);
-
-/// Flows for the hierarchical plan: intra-group messages bypass the
-/// fabric (they ride node-local links).
-std::vector<Flow> flows_from_hierarchical_plan(
-    const shuffle::HierarchicalExchangePlan& plan, double bytes_per_sample);
+                                  double bytes_per_sample,
+                                  int group_size = 0);
 
 /// Flows for the naive uncontrolled exchange: `quota` messages per rank
 /// to independently random destinations (seeded).

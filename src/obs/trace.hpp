@@ -37,11 +37,9 @@
 // Cross-rank causality (DESIGN.md §13): besides spans, the tracer records
 // flow points — the send/step/finish endpoints of one logical message
 // identified by a shared 64-bit id. The exchange derives the id purely
-// from (epoch, origin, destination/round), carries it in the coalesced
-// frame header, and re-derives it from the tag namespace on the
-// per-sample wire, so a merged multi-rank trace draws an arrow from every
-// send to its matching receive (retransmits become "step" points on the
-// same arrow). Threads may also label themselves with a human-readable
+// from (epoch, origin, destination) and carries it in the frame header,
+// so a merged multi-rank trace draws an arrow from every send to its
+// matching receive (retransmits become "step" points on the same arrow). Threads may also label themselves with a human-readable
 // name; names become Chrome thread_name metadata events.
 //
 // Export formats: Chrome trace-event JSON ("X" complete events, "s"/"t"/

@@ -58,10 +58,9 @@ void ExchangePlan::rebuild_grouped(std::uint64_t seed, std::size_t epoch,
               "intra fraction must be in [0, 1]");
   workers_ = groups * group_size;
   Rng base(seed);
-  // Same stream tag and draw order as HierarchicalExchangePlan: per round,
-  // one group permutation (inter rounds only — intra rounds build the
-  // identity without consuming draws), then one local permutation per
-  // source group.
+  // Per round: one group permutation (inter rounds only — intra rounds
+  // build the identity without consuming draws), then one local
+  // permutation per source group.
   Rng stream = base.fork(0x41E2, epoch);
 
   const auto m = static_cast<std::size_t>(workers_);
@@ -94,6 +93,19 @@ void ExchangePlan::rebuild_grouped(std::uint64_t seed, std::size_t epoch,
         round.src[static_cast<std::size_t>(to)] = from;
       }
     }
+  }
+}
+
+void ExchangePlan::rebuild(const PlanSpec& spec) {
+  if (spec.group_size > 0) {
+    DSHUF_CHECK_EQ(spec.groups * spec.group_size, spec.workers,
+                   "plan groups " << spec.groups << "x" << spec.group_size
+                                  << " do not cover " << spec.workers
+                                  << " workers");
+    rebuild_grouped(spec.seed, spec.epoch, spec.groups, spec.group_size,
+                    spec.quota, spec.intra_fraction);
+  } else {
+    rebuild(spec.seed, spec.epoch, spec.workers, spec.quota);
   }
 }
 
@@ -133,6 +145,22 @@ std::size_t ExchangePlan::self_sends() const {
     }
   }
   return n;
+}
+
+double ExchangePlan::intra_group_fraction(int group_size) const {
+  DSHUF_CHECK_GT(group_size, 0, "need at least one rank per group");
+  if (rounds_.empty()) return 1.0;
+  std::size_t intra = 0;
+  for (const auto& round : rounds_) {
+    for (std::size_t r = 0; r < round.dest.size(); ++r) {
+      if (static_cast<int>(r) / group_size == round.dest[r] / group_size) {
+        ++intra;
+      }
+    }
+  }
+  const std::size_t total =
+      rounds_.size() * static_cast<std::size_t>(workers_);
+  return static_cast<double>(intra) / static_cast<double>(total);
 }
 
 namespace {
@@ -179,12 +207,7 @@ std::shared_ptr<const ExchangePlan> intern_exchange_plan(
     }
   }
   auto plan = std::make_shared<ExchangePlan>();
-  if (spec.groups > 1 && spec.group_size > 0) {
-    plan->rebuild_grouped(spec.seed, spec.epoch, spec.groups,
-                          spec.group_size, spec.quota, spec.intra_fraction);
-  } else {
-    plan->rebuild(spec.seed, spec.epoch, spec.workers, spec.quota);
-  }
+  plan->rebuild(spec);
   if (cache.size() >= kPlanCacheSlots) {
     std::size_t oldest = 0;
     for (std::size_t i = 1; i < cache.size(); ++i) {

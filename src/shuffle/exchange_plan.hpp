@@ -24,6 +24,21 @@
 
 namespace dshuf::shuffle {
 
+/// Everything that determines one epoch's plan. group_size == 0 means the
+/// flat Algorithm-1 plan; otherwise the grouped plan of Section V-F over
+/// `groups` groups of `group_size` ranks (groups * group_size == workers).
+struct PlanSpec {
+  std::uint64_t seed = 0;
+  std::size_t epoch = 0;
+  int workers = 0;
+  std::size_t quota = 0;
+  int groups = 1;
+  int group_size = 0;
+  double intra_fraction = 0.5;
+
+  friend bool operator==(const PlanSpec&, const PlanSpec&) = default;
+};
+
 class ExchangePlan {
  public:
   /// Empty plan; fill it with rebuild(). Exists so steady-state callers
@@ -45,18 +60,24 @@ class ExchangePlan {
   void rebuild(std::uint64_t seed, std::size_t epoch, int workers,
                std::size_t per_worker_quota, bool allow_self = true);
 
-  /// Recompute in place as the topology-constrained plan: every round is
-  /// still a permutation of all groups*group_size ranks (the balance
-  /// guarantee is untouched), but each is the product of a group-level
-  /// permutation and per-source-group local-slot permutations, with the
-  /// first round(intra_fraction * quota) rounds using the identity group
-  /// permutation. Draw-for-draw identical to HierarchicalExchangePlan with
-  /// the same arguments — the property suite asserts the tables match bit
-  /// for bit — so the message-passing exchange and the sequential
-  /// hierarchical driver stay equivalent.
+  /// Recompute in place as the grouped (hierarchical) plan the paper
+  /// proposes for the >=1,024-worker congestion regime (Section V-F).
+  /// Ranks form `groups` contiguous groups of `group_size` (a node or a
+  /// rack). Every round is still a permutation of all groups*group_size
+  /// ranks (the balance guarantee is untouched), but each is the product
+  /// of a group-level permutation and per-source-group local-slot
+  /// permutations, with the first round(intra_fraction * quota) rounds
+  /// using the identity group permutation (purely intra-group rounds).
+  /// Inter-group traffic thus moves G-way instead of M-way. Pinned by
+  /// table digests in tests/test_topology_plan.cpp.
   void rebuild_grouped(std::uint64_t seed, std::size_t epoch, int groups,
                        int group_size, std::size_t per_worker_quota,
                        double intra_fraction);
+
+  /// Recompute in place as the plan `spec` describes: rebuild_grouped
+  /// when spec.group_size > 0, the flat rebuild otherwise. The one place
+  /// the flat-vs-grouped choice is made.
+  void rebuild(const PlanSpec& spec);
 
   [[nodiscard]] int workers() const { return workers_; }
   [[nodiscard]] std::size_t rounds() const { return rounds_.size(); }
@@ -74,6 +95,11 @@ class ExchangePlan {
   /// Number of round-fixed-points (rank sends to itself) — diagnostics.
   [[nodiscard]] std::size_t self_sends() const;
 
+  /// Fraction of all (round, rank) sends that stay within the sender's
+  /// group of `group_size` contiguous ranks — the traffic locality the
+  /// grouped plan optimises (1.0 for a plan with no rounds).
+  [[nodiscard]] double intra_group_fraction(int group_size) const;
+
  private:
   struct Round {
     std::vector<int> dest;  // dest[rank]
@@ -84,20 +110,6 @@ class ExchangePlan {
   std::vector<Round> rounds_;
   std::vector<std::uint32_t> perm_;   // rebuild scratch (capacity reused)
   std::vector<std::uint32_t> gperm_;  // grouped-rebuild scratch
-};
-
-/// Everything that determines one epoch's plan. groups <= 1 (or group_size
-/// == 0) means the flat Algorithm-1 plan; otherwise the grouped one.
-struct PlanSpec {
-  std::uint64_t seed = 0;
-  std::size_t epoch = 0;
-  int workers = 0;
-  std::size_t quota = 0;
-  int groups = 1;
-  int group_size = 0;
-  double intra_fraction = 0.5;
-
-  friend bool operator==(const PlanSpec&, const PlanSpec&) = default;
 };
 
 /// One plan per epoch per PROCESS instead of per rank. A thousand virtual

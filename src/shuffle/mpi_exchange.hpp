@@ -4,19 +4,12 @@
 // permutations come from the SHARED-seed ExchangePlan, which every rank
 // recomputes locally — no global coordination is exchanged, only samples.
 //
-// Two wire formats (see shuffle/exchange_wire.hpp, runtime-switchable):
-//
-//   * ExchangeWire::kCoalesced (default): all of an epoch's rounds bound
-//     for peer p travel as ONE frame (header + packed ids + payloads), so
-//     an epoch costs O(peers) messages instead of O(quota). Frames pack
-//     into pooled comm buffers and the deposit path hands out span views
-//     into the received frame — with a warmed-up ExchangeScratch the fast
-//     path performs zero heap allocations per epoch.
-//   * ExchangeWire::kPerSample: the original encoding — each round is its
-//     own message (tag = round index, receiver aligns rounds by tag).
-//
-// Both wires produce bit-identical post-epoch shard contents; the
-// equivalence suite asserts it across seeds and quotas.
+// The wire (see shuffle/exchange_wire.hpp): all of an epoch's rounds bound
+// for peer p travel as ONE frame (header + packed ids + payloads), so an
+// epoch costs O(peers) messages instead of O(quota). Frames pack into
+// pooled comm buffers and the deposit path hands out span views into the
+// received frame — with a warmed-up ExchangeScratch the fast path
+// performs zero heap allocations per epoch.
 //
 // Two execution modes:
 //
@@ -26,12 +19,11 @@
 //   * Robust path (pass an ExchangeRobustness): DATA/ACK with retry +
 //     exponential backoff, receive deadlines, duplicate suppression, and
 //     an end-of-epoch reconciliation over the reliable control plane
-//     (collectives). Per-sample wire ACKs/retries each round; coalesced
-//     wire ACKs/retries each per-peer frame — failure-equivalent, because
-//     commit decisions are NOT taken from ACKs (those are lossy too) but
-//     from the receivers' received-bitmaps, allgathered reliably at epoch
-//     end. A round/frame that exhausts its budget falls back to keeping
-//     the sample(s) at the SENDER (LS fallback); the receiver's word is
+//     (collectives). Each per-peer frame is ACKed and retried; commit
+//     decisions are NOT taken from ACKs (those are lossy too) but from
+//     the receivers' received-bitmaps, allgathered reliably at epoch
+//     end. A frame that exhausts its budget falls back to keeping
+//     its samples at the SENDER (LS fallback); the receiver's word is
 //     the single source of truth, so sender and receiver always agree and
 //     no sample is ever lost or duplicated, whatever the fault schedule.
 //     With no drops (delay/reorder/duplication only) every round commits
@@ -74,7 +66,7 @@ using DepositFn = std::function<void(SampleId, std::span<const std::byte>)>;
 struct ExchangeRobustness {
   /// How long to wait for a DATA message's ACK before retransmitting it.
   std::chrono::microseconds ack_timeout{std::chrono::milliseconds(40)};
-  /// Total DATA transmissions per round/frame (first send + retries).
+  /// Total DATA transmissions per frame (first send + retries).
   int max_attempts = 4;
   /// Multiplier applied to ack_timeout after each retransmission.
   double backoff = 2.0;
@@ -99,7 +91,7 @@ struct ExchangeOutcome {
   /// ACKs) — in lockstep with the comm.isend counter.
   std::size_t msgs_sent = 0;
   /// First-attempt wire framing bytes: frame headers/offset tables and the
-  /// 4-byte sample ids (per-sample wire: just the ids).
+  /// 4-byte sample ids.
   std::size_t bytes_header = 0;
   /// First-attempt sample payload bytes — the quantity the analytic
   /// traffic model (shuffle/traffic.hpp) prices as Q * D / M per worker.
@@ -169,7 +161,7 @@ ExchangeOutcome run_pls_exchange_epoch(
     const ExchangeRobustness* robust = nullptr,
     ExchangeScratch* scratch = nullptr);
 
-/// Split-phase epoch exchange (coalesced wire only) — the overlap
+/// Split-phase epoch exchange — the overlap
 /// primitive: post() fires this rank's outgoing frames, the caller runs
 /// its batch compute, and finish() collects/reconciles once the compute
 /// is done, so frame transit hides under compute instead of serialising

@@ -40,18 +40,18 @@ void ShardStore::remove_slot(std::size_t slot) {
 void ShardStore::remove_id(SampleId id) {
   ensure_index();
   std::uint64_t v = 0;
-  DSHUF_CHECK(index_->find(id, v), "remove_id: sample " << id << " not held");
+  DSHUF_CHECK(index_.find(id, v), "remove_id: sample " << id << " not held");
   remove_at(entry_first(v));
 }
 
 void ShardStore::index_add(SampleId id, std::size_t pos) {
   std::uint64_t v = 0;
-  if (index_->find(id, v)) {
+  if (index_.find(id, v)) {
     // Duplicate copy appended at `pos` > first — first is unchanged,
     // count lives in the low word.
-    index_->put(id, v + 1);
+    index_.put(id, v + 1);
   } else {
-    index_->put(id, pack_entry(pos, 1));
+    index_.put(id, pack_entry(pos, 1));
   }
 }
 
@@ -61,7 +61,7 @@ void ShardStore::remove_at(std::size_t j) {
   const SampleId last = ids_[last_idx];
 
   std::uint64_t v = 0;
-  DSHUF_CHECK(index_->find(id, v), "removal index lost sample " << id);
+  DSHUF_CHECK(index_.find(id, v), "removal index lost sample " << id);
   std::uint32_t first = entry_first(v);
   const std::uint32_t count = entry_count(v) - 1;
   const bool was_first = first == j;
@@ -72,7 +72,7 @@ void ShardStore::remove_at(std::size_t j) {
   ids_.pop_back();
 
   if (count == 0) {
-    index_->erase(id);
+    index_.erase(id);
   } else {
     if (was_first) {
       // Remaining copies all sat past j (j WAS the first) — and the moved
@@ -83,32 +83,25 @@ void ShardStore::remove_at(std::size_t j) {
       DSHUF_CHECK_LT(k, ids_.size(), "removal index count out of sync");
       first = static_cast<std::uint32_t>(k);
     }
-    index_->put(id, pack_entry(first, count));
+    index_.put(id, pack_entry(first, count));
   }
 
   if (j != last_idx && last != id) {
     std::uint64_t lv = 0;
-    DSHUF_CHECK(index_->find(last, lv), "removal index lost sample " << last);
+    DSHUF_CHECK(index_.find(last, lv), "removal index lost sample " << last);
     // The copy that lived at last_idx now lives at j; if that beats the
     // recorded first occurrence (including when it WAS the first), track
     // it. Copies strictly before j are unaffected.
     if (j < entry_first(lv)) {
-      index_->put(last, pack_entry(j, entry_count(lv)));
+      index_.put(last, pack_entry(j, entry_count(lv)));
     }
   }
 }
 
 void ShardStore::ensure_index() {
-  // A ScopedSlotIndex switch takes effect at the next lazy rebuild: the
-  // backend is replaced, not mutated mid-schedule.
-  const io::SlotIndexKind want = io::slot_index_kind();
-  if (index_ == nullptr || index_->kind() != want) {
-    index_ = io::make_slot_index(want);
-    index_dirty_ = true;
-  }
   if (!index_dirty_) return;
-  // Steady state: clear() retains backend capacity — no allocation.
-  index_->clear();
+  // Steady state: clear() retains the table — no allocation.
+  index_.clear();
   index_dirty_ = false;
   for (std::size_t i = 0; i < ids_.size(); ++i) {
     // Ascending i, so the first insert of each id records its first

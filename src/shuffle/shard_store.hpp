@@ -8,21 +8,18 @@
 // (1+Q)-fold capacity, and the store records it so tests and benches can
 // verify the bound.
 //
-// Removal is indexed: a pluggable io::SlotIndex mapping id -> packed
+// Removal is indexed: an io::SlotIndex mapping id -> packed
 // (first index << 32 | count) makes remove_id amortized O(1) instead of
 // a linear scan, while keeping the observable ids() sequence
 // bit-identical to the scan-based removal (first occurrence replaced by
-// the last element). The backend follows the process-wide
-// io::slot_index_kind() — open-addressing by default, or the learned
-// piecewise-linear index under ScopedSlotIndex — and is (re)built lazily:
-// handing out mutable_ids() invalidates it, so a steady-state epoch
+// the last element). The index is (re)built lazily: handing out
+// mutable_ids() invalidates it, so a steady-state epoch
 // (shuffle, add quota, remove quota) costs one O(n) rebuild plus O(1)
 // per operation and, once warmed, no allocation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "io/slot_index.hpp"
@@ -67,10 +64,9 @@ class ShardStore {
     return capacity_ != 0 && peak_ > capacity_;
   }
 
-  /// Lifetime stats of the removal-index backend (zeroes before its
-  /// first build) — lets benches compare probe lengths across backends.
+  /// Lifetime stats of the removal index (zeroes before its first build).
   [[nodiscard]] io::SlotIndexStats index_stats() const {
-    return index_ != nullptr ? index_->stats() : io::SlotIndexStats{};
+    return index_.stats();
   }
 
  private:
@@ -90,9 +86,9 @@ class ShardStore {
   std::size_t capacity_ = 0;
   std::size_t peak_ = 0;
 
-  // id -> (first occurrence << 32) | live count, behind the pluggable
-  // backend. Null until the first indexed removal needs it.
-  std::unique_ptr<io::SlotIndex> index_;
+  // id -> (first occurrence << 32) | live count. Empty until the first
+  // indexed removal needs it.
+  io::SlotIndex index_;
   bool index_dirty_ = true;
 };
 

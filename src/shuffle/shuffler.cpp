@@ -84,14 +84,21 @@ const std::vector<SampleId>& LocalShuffler::local_order(int worker) const {
 
 PartialLocalShuffler::PartialLocalShuffler(
     std::vector<std::vector<SampleId>> shards, double q, std::uint64_t seed,
-    bool exchange_on_first_epoch)
+    bool exchange_on_first_epoch, int groups, double intra_fraction)
     : q_(q),
       seed_(seed),
       exchange_on_first_epoch_(exchange_on_first_epoch),
+      groups_(groups),
+      intra_fraction_(intra_fraction),
       base_rng_(seed),
       orders_(shards.size()) {
   DSHUF_CHECK(!shards.empty(), "need at least one shard");
   DSHUF_CHECK(q >= 0.0 && q <= 1.0, "Q must be in [0, 1]");
+  DSHUF_CHECK_GE(groups, 0, "group count must be >= 0");
+  if (groups > 0) {
+    DSHUF_CHECK_EQ(shards.size() % static_cast<std::size_t>(groups), 0U,
+                   "workers must divide evenly into groups");
+  }
   std::size_t min_shard = shards[0].size();
   for (const auto& s : shards) min_shard = std::min(min_shard, s.size());
   const std::size_t quota = exchange_quota(min_shard, q);
@@ -103,7 +110,8 @@ PartialLocalShuffler::PartialLocalShuffler(
 }
 
 std::string PartialLocalShuffler::label() const {
-  return strategy_label(Strategy::kPartial, q_);
+  const std::string flat = strategy_label(Strategy::kPartial, q_);
+  return groups_ > 0 ? flat + "-hier" + std::to_string(groups_) : flat;
 }
 
 void PartialLocalShuffler::begin_epoch(std::size_t epoch) {
@@ -123,8 +131,21 @@ void PartialLocalShuffler::begin_epoch(std::size_t epoch) {
       quota > 0 && m > 1 && (epoch > 0 || exchange_on_first_epoch_);
 
   if (exchange) {
-    plan_ = std::make_unique<ExchangePlan>(seed_, epoch,
-                                           static_cast<int>(m), quota);
+    PlanSpec spec;
+    spec.seed = seed_;
+    spec.epoch = epoch;
+    spec.workers = static_cast<int>(m);
+    spec.quota = quota;
+    if (groups_ > 0) {
+      spec.groups = groups_;
+      spec.group_size = spec.workers / groups_;
+      spec.intra_fraction = intra_fraction_;
+    }
+    plan_ = std::make_unique<ExchangePlan>();
+    plan_->rebuild(spec);
+    if (groups_ > 0) {
+      last_intra_fraction_ = plan_->intra_group_fraction(spec.group_size);
+    }
     // Algorithm 1, line 1: every worker picks its outgoing samples (random
     // permutation prefix, or importance-ordered under the extension
     // policies) — resolve them all before mutating stores.
@@ -145,7 +166,7 @@ void PartialLocalShuffler::begin_epoch(std::size_t epoch) {
         ++stats_.sent_per_worker[w];
       }
     }
-    // scheduler.clean_local_storage(): drop the transmitted samples.
+    // The paper's clean_local_storage(): drop the transmitted samples.
     for (std::size_t w = 0; w < m; ++w) {
       for (SampleId id : outgoing[w]) stores_[w].remove_id(id);
     }
@@ -157,8 +178,8 @@ void PartialLocalShuffler::begin_epoch(std::size_t epoch) {
   // Final local shuffle of the (possibly updated) shard — in place, so the
   // next epoch's pick permutation draws from the shuffled order (the paper:
   // "a full shuffle of the local portion of the data is performed before
-  // the designated ratio is exchanged"). Scheduler applies the identical
-  // stream, which keeps the two drivers bit-compatible.
+  // the designated ratio is exchanged"). The message-passing driver
+  // applies the identical stream, which keeps the two bit-compatible.
   for (std::size_t w = 0; w < m; ++w) {
     post_exchange_local_shuffle(seed_, epoch, static_cast<int>(w),
                                 stores_[w].mutable_ids());

@@ -12,7 +12,8 @@
 //   * PartialLocalShuffler — the paper's contribution: each epoch every
 //                       worker exchanges k = ceil(Q * N/M) randomly chosen
 //                       local samples through the balanced Algorithm-1 plan
-//                       and then shuffles the updated shard locally.
+//                       (or its grouped Section V-F variant) and then
+//                       shuffles the updated shard locally.
 //
 // The driver is sequential over workers but computes exactly what the
 // distributed implementation computes (every random draw is derived from
@@ -105,9 +106,13 @@ class PartialLocalShuffler final : public Shuffler {
   /// `q` is the exchange fraction; `exchange_on_first_epoch` controls
   /// whether epoch 0 already exchanges (the paper exchanges before each
   /// epoch; the initial distribution counts as "before epoch 0" so the
-  /// default is true).
+  /// default is true). `groups` > 0 selects the grouped plan of Section
+  /// V-F (ExchangePlan::rebuild_grouped) over that many contiguous groups
+  /// — the workers must divide evenly — with `intra_fraction` of the
+  /// rounds kept inside each group; 0 keeps the flat Algorithm-1 plan.
   PartialLocalShuffler(std::vector<std::vector<SampleId>> shards, double q,
-                       std::uint64_t seed, bool exchange_on_first_epoch = true);
+                       std::uint64_t seed, bool exchange_on_first_epoch = true,
+                       int groups = 0, double intra_fraction = 0.5);
 
   void begin_epoch(std::size_t epoch) override;
   [[nodiscard]] const std::vector<SampleId>& local_order(
@@ -128,6 +133,11 @@ class PartialLocalShuffler final : public Shuffler {
   /// The plan used by the last begin_epoch (for cross-checking against a
   /// real message-passing execution).
   [[nodiscard]] const ExchangePlan* last_plan() const { return plan_.get(); }
+  /// Grouped plan only: share of the last exchange's sends that stayed
+  /// inside the sender's group (1.0 until the first exchange happens).
+  [[nodiscard]] double last_intra_fraction() const {
+    return last_intra_fraction_;
+  }
 
   /// Switch the exchange-pick policy. For the importance policies, callers
   /// must provide fresh per-sample scores (indexed by SampleId) before
@@ -148,6 +158,9 @@ class PartialLocalShuffler final : public Shuffler {
   double q_;
   std::uint64_t seed_;
   bool exchange_on_first_epoch_;
+  int groups_;
+  double intra_fraction_;
+  double last_intra_fraction_ = 1.0;
   Rng base_rng_;
   std::vector<ShardStore> stores_;
   std::vector<std::vector<SampleId>> orders_;
@@ -179,10 +192,10 @@ void pick_permutation_into(std::uint64_t seed, std::size_t epoch, int worker,
                            std::size_t shard_size,
                            std::vector<std::uint32_t>& out);
 
-/// The end-of-epoch local shuffle applied to a worker's shard ids. All
-/// drivers (PartialLocalShuffler, Scheduler, and callers of
-/// run_pls_exchange_epoch) must apply this same stream for their stores to
-/// stay bit-compatible across epochs.
+/// The end-of-epoch local shuffle applied to a worker's shard ids. Both
+/// drivers (PartialLocalShuffler and callers of run_pls_exchange_epoch)
+/// must apply this same stream for their stores to stay bit-compatible
+/// across epochs.
 void post_exchange_local_shuffle(std::uint64_t seed, std::size_t epoch,
                                  int worker, std::vector<SampleId>& ids);
 

@@ -63,8 +63,9 @@ SimResult train_model(nn::Model& model, const data::InMemoryDataset& train,
   std::unique_ptr<shuffle::Shuffler> shuffler;
   if (config.strategy == shuffle::Strategy::kPartial &&
       config.hierarchical_groups > 0) {
-    shuffler = std::make_unique<shuffle::HierarchicalPartialShuffler>(
-        std::move(shards), config.q, config.hierarchical_groups, config.seed,
+    shuffler = std::make_unique<shuffle::PartialLocalShuffler>(
+        std::move(shards), config.q, config.seed,
+        /*exchange_on_first_epoch=*/true, config.hierarchical_groups,
         config.hierarchical_intra_fraction);
   } else {
     shuffler = shuffle::make_shuffler(config.strategy, config.q,

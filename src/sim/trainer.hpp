@@ -20,7 +20,6 @@
 #include "data/workloads.hpp"
 #include "nn/builder.hpp"
 #include "nn/optimizer.hpp"
-#include "shuffle/hierarchical.hpp"
 #include "shuffle/shuffler.hpp"
 
 namespace dshuf::sim {

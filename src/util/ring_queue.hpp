@@ -74,6 +74,11 @@ class RingQueue {
     return out;
   }
 
+  /// Grow the buffer to hold at least `n` elements without reallocating.
+  void reserve(std::size_t n) {
+    while (slots_.size() < n) grow();
+  }
+
   void clear() {
     for (std::size_t i = 0; i < size_; ++i) {
       slots_[mask(head_ + i)] = T{};

@@ -241,13 +241,18 @@ TEST(ChaosComm, FenceFlushesDelayedMessages) {
 TEST(ChaosComm, PollOnlyTakesArrivedMessages) {
   World world(2);
   world.run([](Communicator& c) {
+    // Two barriers order the send strictly between rank 0's polls: the
+    // first keeps rank 1 from sending before the empty poll, the second
+    // keeps rank 0 from polling again before the send.
     if (c.rank() == 0) {
       EXPECT_FALSE(c.poll(1, 0).has_value());  // nothing sent yet
+      c.barrier();
       c.barrier();
       const auto got = c.poll(kAnySource, kAnyTag);
       ASSERT_TRUE(got.has_value());
       EXPECT_EQ(int_of(got->payload), 4);
     } else {
+      c.barrier();
       c.isend(0, 0, bytes_of(4));
       c.barrier();
     }

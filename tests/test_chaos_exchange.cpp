@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "shuffle/topology.hpp"
+
 namespace dshuf::chaos {
 namespace {
 
@@ -237,77 +239,79 @@ TEST(ChaosExchange, SameSeedsReproduceExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire modes: every chaos invariant must hold under BOTH encodings. For
-// fault schedules that never drop, both wires must match the sequential
-// driver (and therefore each other) bit-for-bit. Under drops the wires
-// carry different tag streams, so the injector makes different per-message
-// decisions and the shards legitimately diverge across modes — there the
-// bar is per-mode determinism plus conservation.
+// Grouped plan: under a process-wide Topology the robust exchange runs the
+// Section V-F plan, and the same invariants hold. No-drop schedules must
+// match the grouped sequential driver; drops must conserve and replay.
 
-TEST(ChaosExchangeWire, NoDropFaultsMatchSequentialUnderBothWires) {
-  std::vector<std::size_t> msgs_by_mode;
-  for (const shuffle::ExchangeWire wire :
-       {shuffle::ExchangeWire::kPerSample,
-        shuffle::ExchangeWire::kCoalesced}) {
-    SCOPED_TRACE(shuffle::to_string(wire));
+std::vector<std::vector<SampleId>> grouped_reference(const ChaosConfig& cfg,
+                                                     int groups,
+                                                     double intra) {
+  shuffle::PartialLocalShuffler pls(make_shards(cfg.n, cfg.m), cfg.q,
+                                    cfg.seed, true, groups, intra);
+  for (std::size_t epoch = 0; epoch < cfg.epochs; ++epoch) {
+    pls.begin_epoch(epoch);
+  }
+  std::vector<std::vector<SampleId>> out;
+  for (const auto& s : pls.stores()) out.push_back(s.ids());
+  return out;
+}
+
+TEST(ChaosExchange, GroupedPlanNoDropFaultsMatchGroupedDriver) {
+  shuffle::Topology topo;
+  topo.groups = 2;
+  topo.intra_fraction = 0.5;
+  const shuffle::ScopedExchangeTopology scoped(topo);
+  for (std::uint64_t fault_seed : {21ULL, 42ULL}) {
     ChaosConfig cfg;
     cfg.m = 4;
     cfg.n = 48;
     cfg.q = 0.5;
     cfg.epochs = 2;
-    cfg.fault_seed = 21;
+    cfg.fault_seed = fault_seed;
     cfg.spec = no_drop_spec();
-    cfg.wire = wire;
     const auto result = run_chaos_exchange(cfg);
-    // The sequential reference knows nothing about wires; matching it
-    // under both modes proves the modes match each other too.
-    EXPECT_EQ(result.shards, sequential_reference(cfg));
+    EXPECT_EQ(result.shards, grouped_reference(cfg, 2, 0.5))
+        << "fault_seed=" << fault_seed;
     expect_conservation(result.shards, cfg.n);
-    std::size_t msgs = 0;
-    for (const auto& per_rank : result.outcomes) {
-      for (const auto& o : per_rank) msgs += o.msgs_sent;
-    }
-    msgs_by_mode.push_back(msgs);
+    // The grouped plan is a different plan: the flat driver must not
+    // match, or the topology was never applied.
+    EXPECT_NE(result.shards, sequential_reference(cfg));
   }
-  // Coalescing is the point: same work, strictly fewer messages.
-  ASSERT_EQ(msgs_by_mode.size(), 2U);
-  EXPECT_LT(msgs_by_mode[1], msgs_by_mode[0]);
 }
 
-TEST(ChaosExchangeWire, DropsConserveAndReplayUnderBothWires) {
-  for (const shuffle::ExchangeWire wire :
-       {shuffle::ExchangeWire::kPerSample,
-        shuffle::ExchangeWire::kCoalesced}) {
-    SCOPED_TRACE(shuffle::to_string(wire));
-    ChaosConfig cfg;
-    cfg.m = 4;
-    cfg.n = 48;
-    cfg.q = 0.5;
-    cfg.epochs = 3;
-    cfg.fault_seed = 31;
-    cfg.spec.drop_prob = 0.3;
-    cfg.spec.dup_prob = 0.2;
-    cfg.unlimited_capacity = true;
-    cfg.wire = wire;
-    const auto a = run_chaos_exchange(cfg);
-    expect_conservation(a.shards, cfg.n);
-    expect_balance_bound(a);
-    // Same seeds, same wire -> exact replay, bookkeeping included.
-    const auto b = run_chaos_exchange(cfg);
-    EXPECT_EQ(a.shards, b.shards);
-    ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-    for (std::size_t e = 0; e < a.outcomes.size(); ++e) {
-      for (std::size_t w = 0; w < a.outcomes[e].size(); ++w) {
-        EXPECT_EQ(a.outcomes[e][w].sends_committed,
-                  b.outcomes[e][w].sends_committed);
-        EXPECT_EQ(a.outcomes[e][w].send_fallbacks,
-                  b.outcomes[e][w].send_fallbacks);
-        EXPECT_EQ(a.outcomes[e][w].recvs_committed,
-                  b.outcomes[e][w].recvs_committed);
-        EXPECT_EQ(a.outcomes[e][w].recv_fallbacks,
-                  b.outcomes[e][w].recv_fallbacks);
-        EXPECT_EQ(a.outcomes[e][w].retries, b.outcomes[e][w].retries);
-      }
+TEST(ChaosExchange, GroupedPlanDropsConserveAndReplay) {
+  shuffle::Topology topo;
+  topo.groups = 2;
+  topo.intra_fraction = 0.5;
+  const shuffle::ScopedExchangeTopology scoped(topo);
+  ChaosConfig cfg;
+  cfg.m = 4;
+  cfg.n = 48;
+  cfg.q = 0.5;
+  cfg.epochs = 3;
+  cfg.fault_seed = 31;
+  cfg.spec.drop_prob = 0.3;
+  cfg.spec.dup_prob = 0.2;
+  cfg.unlimited_capacity = true;
+  const auto a = run_chaos_exchange(cfg);
+  expect_conservation(a.shards, cfg.n);
+  expect_balance_bound(a);
+  EXPECT_GT(a.faults.dropped, 0U);
+  // Same seeds -> exact replay, bookkeeping included.
+  const auto b = run_chaos_exchange(cfg);
+  EXPECT_EQ(a.shards, b.shards);
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  for (std::size_t e = 0; e < a.outcomes.size(); ++e) {
+    for (std::size_t w = 0; w < a.outcomes[e].size(); ++w) {
+      EXPECT_EQ(a.outcomes[e][w].sends_committed,
+                b.outcomes[e][w].sends_committed);
+      EXPECT_EQ(a.outcomes[e][w].send_fallbacks,
+                b.outcomes[e][w].send_fallbacks);
+      EXPECT_EQ(a.outcomes[e][w].recvs_committed,
+                b.outcomes[e][w].recvs_committed);
+      EXPECT_EQ(a.outcomes[e][w].recv_fallbacks,
+                b.outcomes[e][w].recv_fallbacks);
+      EXPECT_EQ(a.outcomes[e][w].retries, b.outcomes[e][w].retries);
     }
   }
 }

@@ -7,8 +7,6 @@
 
 #include "data/synthetic.hpp"
 #include "nn/norm.hpp"
-#include "shuffle/hierarchical.hpp"
-#include "shuffle/scheduler.hpp"
 #include "shuffle/shuffler.hpp"
 #include "sim/trainer.hpp"
 
@@ -46,18 +44,6 @@ TEST(EdgeCases, PartialShufflerWithUnevenShards) {
   }
 }
 
-TEST(EdgeCases, SchedulerWithBatchLargerThanShard) {
-  // One iteration per epoch; clean_local_storage still flushes the quota.
-  shuffle::Scheduler s(make_shards(40, 4), 0.5, /*local_batch=*/32, 7);
-  EXPECT_EQ(s.iterations_per_epoch(), 1U);
-  s.scheduling(0);
-  const auto chunk = s.communicate(0);
-  s.synchronize(chunk);
-  s.clean_local_storage();
-  EXPECT_EQ(s.last_stats().sent_per_worker[0],
-            shuffle::exchange_quota(10, 0.5));
-}
-
 TEST(EdgeCases, TinyShardFullExchange) {
   // Shard size 1 with Q = 1: every epoch every worker's single sample
   // moves somewhere.
@@ -71,9 +57,8 @@ TEST(EdgeCases, TinyShardFullExchange) {
 TEST(EdgeCases, HierarchicalWithSingletonGroups) {
   // groups == workers: intra rounds are pure self-sends, inter rounds are
   // full permutations; still balanced and conserving.
-  shuffle::HierarchicalPartialShuffler hs(make_shards(32, 8), 0.5,
-                                          /*groups=*/8, 5,
-                                          /*intra_fraction=*/0.5);
+  shuffle::PartialLocalShuffler hs(make_shards(32, 8), 0.5, 5, true,
+                                   /*groups=*/8, /*intra_fraction=*/0.5);
   hs.begin_epoch(0);
   std::multiset<SampleId> all;
   for (int w = 0; w < 8; ++w) {
@@ -84,8 +69,8 @@ TEST(EdgeCases, HierarchicalWithSingletonGroups) {
 }
 
 TEST(EdgeCases, HierarchicalSingleGroupEqualsFlatStatistics) {
-  shuffle::HierarchicalPartialShuffler hs(make_shards(48, 6), 0.5,
-                                          /*groups=*/1, 5);
+  shuffle::PartialLocalShuffler hs(make_shards(48, 6), 0.5, 5, true,
+                                   /*groups=*/1);
   hs.begin_epoch(0);
   const auto* stats = hs.last_stats();
   for (std::size_t w = 0; w < 6; ++w) {

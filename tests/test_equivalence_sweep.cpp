@@ -1,9 +1,10 @@
 // Seed-sweep equivalence property: the three executions of partial local
-// shuffling — the sequential PartialLocalShuffler, the iteration-chunked
-// Scheduler, and the message-passing run_pls_exchange_epoch over a real
-// comm::World — must produce bit-identical shard contents for every point
-// of a (workers, Q, batch, seed) grid. This is the repo's strongest
-// determinism claim: no random draw depends on execution order.
+// shuffling — the sequential PartialLocalShuffler and the message-passing
+// run_pls_exchange_epoch over a real comm::World on both its fast and its
+// robust (DATA/ACK) path — must produce bit-identical shard contents for
+// every point of a (workers, Q, seed) grid, flat and grouped. This is the
+// repo's strongest determinism claim: no random draw depends on execution
+// order.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,8 +12,8 @@
 #include "comm/comm.hpp"
 #include "shuffle/exchange_plan.hpp"
 #include "shuffle/mpi_exchange.hpp"
-#include "shuffle/scheduler.hpp"
 #include "shuffle/shuffler.hpp"
+#include "shuffle/topology.hpp"
 
 namespace dshuf::shuffle {
 namespace {
@@ -35,11 +36,12 @@ std::vector<std::vector<SampleId>> store_ids(
   return out;
 }
 
-/// Message-passing execution: M rank-threads running the exchange plus the
-/// shared post-exchange local shuffle, for `epochs` epochs.
+/// Message-passing execution: M rank-threads running the exchange (the
+/// robust protocol when `robust` is set) plus the shared post-exchange
+/// local shuffle, for `epochs` epochs.
 std::vector<std::vector<SampleId>> run_world_epochs(
     std::vector<std::vector<SampleId>> shards, double q, std::uint64_t seed,
-    std::size_t epochs) {
+    std::size_t epochs, const ExchangeRobustness* robust = nullptr) {
   const int m = static_cast<int>(shards.size());
   std::size_t min_shard = shards[0].size();
   for (const auto& s : shards) min_shard = std::min(min_shard, s.size());
@@ -54,7 +56,8 @@ std::vector<std::vector<SampleId>> run_world_epochs(
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     world.run([&](comm::Communicator& c) {
       auto& store = stores[static_cast<std::size_t>(c.rank())];
-      run_pls_exchange_epoch(c, store, seed, epoch, q, min_shard);
+      run_pls_exchange_epoch(c, store, seed, epoch, q, min_shard, nullptr,
+                             nullptr, robust);
       post_exchange_local_shuffle(seed, epoch, c.rank(),
                                   store.mutable_ids());
     });
@@ -64,37 +67,28 @@ std::vector<std::vector<SampleId>> run_world_epochs(
 
 TEST(EquivalenceSweep, AllThreeDriversAgreeAcrossTheGrid) {
   constexpr std::size_t kEpochs = 2;
+  const ExchangeRobustness robust;
   for (int m : {1, 2, 4, 7}) {
     const std::size_t n = static_cast<std::size_t>(m) * 12;
     for (double q : {0.0, 0.1, 0.3, 1.0}) {
-      for (std::size_t b : {2UL, 5UL}) {
-        for (std::uint64_t seed : {11ULL, 97ULL}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "m=" << m << " q=" << q << " b=" << b
-                       << " seed=" << seed);
+      for (std::uint64_t seed : {11ULL, 97ULL}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "m=" << m << " q=" << q << " seed=" << seed);
 
-          PartialLocalShuffler pls(deal_shards(n, m), q, seed);
-          Scheduler sched(deal_shards(n, m), q, b, seed);
-          for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
-            pls.begin_epoch(epoch);
-            sched.scheduling(epoch);
-            for (std::size_t it = 0; it < sched.iterations_per_epoch();
-                 ++it) {
-              const auto chunk = sched.communicate(it);
-              sched.synchronize(chunk);
-            }
-            sched.clean_local_storage();
-          }
-          const auto world = run_world_epochs(deal_shards(n, m), q, seed,
-                                              kEpochs);
-
-          const auto reference = store_ids(pls.stores());
-          EXPECT_EQ(store_ids(sched.stores()), reference)
-              << "Scheduler diverged from PartialLocalShuffler";
-          EXPECT_EQ(world, reference)
-              << "message-passing exchange diverged from the sequential "
-                 "driver";
+        PartialLocalShuffler pls(deal_shards(n, m), q, seed);
+        for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
+          pls.begin_epoch(epoch);
         }
+        const auto reference = store_ids(pls.stores());
+        EXPECT_EQ(run_world_epochs(deal_shards(n, m), q, seed, kEpochs),
+                  reference)
+            << "fast message-passing exchange diverged from the "
+               "sequential driver";
+        EXPECT_EQ(
+            run_world_epochs(deal_shards(n, m), q, seed, kEpochs, &robust),
+            reference)
+            << "robust message-passing exchange diverged from the "
+               "sequential driver";
       }
     }
   }
@@ -108,26 +102,85 @@ TEST(EquivalenceSweep, RobustAndFastPathsAgreeOnPerfectFabric) {
   for (int m : {2, 5}) {
     const std::size_t n = static_cast<std::size_t>(m) * 10;
     const auto fast = run_world_epochs(deal_shards(n, m), q, seed, 2);
+    const ExchangeRobustness robust;
+    EXPECT_EQ(run_world_epochs(deal_shards(n, m), q, seed, 2, &robust), fast)
+        << "m=" << m;
+  }
+}
 
-    auto shards = deal_shards(n, m);
-    const std::size_t min_shard = n / static_cast<std::size_t>(m);
-    const std::size_t quota = exchange_quota(min_shard, q);
-    std::vector<ShardStore> stores;
-    for (auto& s : shards) {
-      stores.emplace_back(std::move(s), min_shard + quota);
+// The grouped plan of Section V-F has the same three executions: the
+// grouped PartialLocalShuffler, and the message-passing exchange (fast and
+// robust) under a process-wide Topology of the same shape. Both reach the
+// plan through ExchangePlan::rebuild(PlanSpec), so shards must agree bit
+// for bit at every (shape, intra fraction, Q, seed) point.
+std::vector<std::vector<SampleId>> grouped_reference(std::size_t n, int m,
+                                                     double q,
+                                                     std::uint64_t seed,
+                                                     int groups, double intra,
+                                                     std::size_t epochs) {
+  PartialLocalShuffler pls(deal_shards(n, m), q, seed, true, groups, intra);
+  for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+    pls.begin_epoch(epoch);
+  }
+  return store_ids(pls.stores());
+}
+
+TEST(EquivalenceSweep, GroupedDriversAgreeAcrossTheGrid) {
+  constexpr std::size_t kEpochs = 2;
+  const ExchangeRobustness robust;
+  const struct {
+    int m;
+    int groups;
+  } shapes[] = {{4, 2}, {6, 3}, {8, 2}, {8, 4}};
+  for (const auto& shape : shapes) {
+    const std::size_t n = static_cast<std::size_t>(shape.m) * 12;
+    for (double intra : {0.0, 0.5, 1.0}) {
+      Topology topo;
+      topo.groups = shape.groups;
+      topo.intra_fraction = intra;
+      const ScopedExchangeTopology scoped(topo);
+      for (double q : {0.3, 1.0}) {
+        for (std::uint64_t seed : {11ULL, 97ULL}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "m=" << shape.m << " groups=" << shape.groups
+                       << " intra=" << intra << " q=" << q
+                       << " seed=" << seed);
+          const auto reference = grouped_reference(
+              n, shape.m, q, seed, shape.groups, intra, kEpochs);
+          EXPECT_EQ(
+              run_world_epochs(deal_shards(n, shape.m), q, seed, kEpochs),
+              reference)
+              << "fast grouped exchange diverged from the grouped "
+                 "sequential driver";
+          EXPECT_EQ(run_world_epochs(deal_shards(n, shape.m), q, seed,
+                                     kEpochs, &robust),
+                    reference)
+              << "robust grouped exchange diverged from the grouped "
+                 "sequential driver";
+        }
+      }
     }
-    ExchangeRobustness robust;
-    comm::World world(m);
-    for (std::size_t epoch = 0; epoch < 2; ++epoch) {
-      world.run([&](comm::Communicator& c) {
-        auto& store = stores[static_cast<std::size_t>(c.rank())];
-        run_pls_exchange_epoch(c, store, seed, epoch, q, min_shard,
-                               nullptr, nullptr, &robust);
-        post_exchange_local_shuffle(seed, epoch, c.rank(),
-                                    store.mutable_ids());
-      });
-    }
-    EXPECT_EQ(store_ids(stores), fast) << "m=" << m;
+  }
+}
+
+TEST(EquivalenceSweep, InternedGroupedPlansMatchInPlaceRebuilds) {
+  // The virtual backend's shared plan cache, switched on for a threaded
+  // world: the fetched grouped plans must drive the same shards as the
+  // per-rank in-place rebuilds the sequential driver mirrors.
+  const ScopedPlanInterning interning(true);
+  Topology topo;
+  topo.groups = 2;
+  topo.intra_fraction = 0.5;
+  const ScopedExchangeTopology scoped(topo);
+  const ExchangeRobustness robust;
+  for (int m : {4, 6}) {
+    const std::size_t n = static_cast<std::size_t>(m) * 10;
+    const auto reference = grouped_reference(n, m, 0.5, 23, 2, 0.5, 3);
+    EXPECT_EQ(run_world_epochs(deal_shards(n, m), 0.5, 23, 3), reference)
+        << "m=" << m;
+    EXPECT_EQ(run_world_epochs(deal_shards(n, m), 0.5, 23, 3, &robust),
+              reference)
+        << "m=" << m;
   }
 }
 

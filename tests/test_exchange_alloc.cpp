@@ -26,7 +26,6 @@
 
 #include "comm/comm.hpp"
 #include "shuffle/exchange_plan.hpp"
-#include "shuffle/exchange_wire.hpp"
 #include "shuffle/mpi_exchange.hpp"
 #include "shuffle/shuffler.hpp"
 
@@ -59,8 +58,6 @@ constexpr std::size_t kWarmupEpochs = 6;
 constexpr std::size_t kMeasuredEpochs = 4;
 
 TEST(ExchangeAlloc, CoalescedSteadyStateAllocatesNothing) {
-  ScopedExchangeWire wire(ExchangeWire::kCoalesced);
-
   const std::size_t quota = exchange_quota(kShard, kQ);
   ASSERT_GT(quota, 0U);
 

@@ -1,12 +1,14 @@
 // Wire-format contract of the coalesced exchange frame: golden bytes
 // (little-endian layout is part of the format, not an implementation
 // detail), round-trips through FrameWriter/parse_frame including the
-// degenerate corners, rejection of truncated or inconsistent frames, and
-// the bit-identity of the two wire modes end to end.
+// degenerate corners, rejection of truncated or inconsistent frames, the
+// pinned per-epoch tag layout, and end-to-end bit-identity of framed
+// exchanges with the sequential driver.
 #include "shuffle/exchange_wire.hpp"
 
 #include <gtest/gtest.h>
 
+#include "shuffle/exchange_tags.hpp"
 #include "shuffle/mpi_exchange.hpp"
 #include "shuffle/shuffler.hpp"
 #include "util/error.hpp"
@@ -22,7 +24,7 @@ std::vector<std::byte> bytes_from(std::initializer_list<unsigned> raw) {
 
 // ------------------------------------------------------------------ codec --
 
-TEST(ExchangeWireFormat, GoldenFrameBytes) {
+TEST(ExchangeFrameFormat, GoldenFrameBytes) {
   // Two samples: id 7 with payload {0xAA, 0xBB}, id 0xFFFFFFFF (the
   // maximum SampleId) with an empty payload, framed with the v2 trace
   // context (origin 3, flow id frame_flow_id(5, 3, 1)). Every byte below
@@ -65,20 +67,65 @@ TEST(ExchangeWireFormat, GoldenFrameBytes) {
   EXPECT_TRUE(v.payload(1).empty());
 }
 
-TEST(ExchangeWireFormat, FlowIdSpacesAreDisjointAndDeterministic) {
-  // Frame ids are a pure function of (epoch, origin, dest); sample ids of
-  // (tag_base, round, origin). Both endpoints must derive the same value,
-  // and the two id spaces must never collide (bit 63 separates them).
+TEST(ExchangeFrameFormat, FrameFlowIdsAreDeterministic) {
+  // Frame ids are a pure function of (epoch, origin, dest): both endpoints
+  // must derive the same value, and distinct frames distinct ones.
   EXPECT_EQ(frame_flow_id(5, 3, 1), frame_flow_id(5, 3, 1));
   EXPECT_NE(frame_flow_id(5, 3, 1), frame_flow_id(5, 1, 3));
   EXPECT_NE(frame_flow_id(5, 3, 1), frame_flow_id(6, 3, 1));
-  EXPECT_EQ(sample_flow_id(100, 2, 3), sample_flow_id(100, 2, 3));
-  EXPECT_NE(sample_flow_id(100, 2, 3), sample_flow_id(100, 3, 3));
-  EXPECT_TRUE(sample_flow_id(0, 0, 0) & (1ull << 63));
-  EXPECT_FALSE(frame_flow_id(1u << 25, 8191, 8191) & (1ull << 63));
 }
 
-TEST(ExchangeWireFormat, ZeroCountFrameRoundTrips) {
+// ------------------------------------------------------------------- tags --
+
+TEST(ExchangeFrameFormat, FrameTagsKeepTheirPinnedValues) {
+  // FaultPlan::decide hashes the message tag, so every seeded chaos
+  // schedule depends on these exact numbers. The window still reserves
+  // the unused 2*quota low region ahead of the frame tags.
+  EXPECT_EQ(epoch_tag_span(5, 4), 18U);
+  EXPECT_EQ(epoch_tag_base(0, 5, 4), 0U);
+  EXPECT_EQ(epoch_tag_base(3, 5, 4), 54U);
+  EXPECT_EQ(frame_data_tag(54, 5, 0), 64);
+  EXPECT_EQ(frame_data_tag(54, 5, 2), 68);
+  EXPECT_EQ(frame_ack_tag(54, 5, 2), 69);
+  EXPECT_EQ(frame_ack_tag(54, 5, 3), 71);
+  // Quota 16 over 4 ranks (the alloc-test shape), epoch 7.
+  EXPECT_EQ(epoch_tag_base(7, 16, 4), 280U);
+  EXPECT_EQ(frame_data_tag(280, 16, 1), 314);
+  // The window must fit in the int-typed tag space.
+  EXPECT_THROW((void)epoch_tag_base(std::size_t{1} << 30, 16, 4),
+               CheckError);
+}
+
+TEST(ExchangeFrameFormat, FrameTagsStayInsideTheirEpochWindow) {
+  for (const std::size_t quota : {std::size_t{1}, std::size_t{6}}) {
+    for (const int workers : {1, 3, 8}) {
+      const std::uint64_t span = epoch_tag_span(quota, workers);
+      for (std::size_t epoch = 0; epoch < 3; ++epoch) {
+        const std::uint64_t base = epoch_tag_base(epoch, quota, workers);
+        const std::uint64_t next = epoch_tag_base(epoch + 1, quota, workers);
+        EXPECT_EQ(next, base + span);
+        // The low region carries no frame.
+        for (std::uint64_t t = base; t < base + 2 * quota; ++t) {
+          EXPECT_FALSE(is_epoch_frame_data_tag(static_cast<int>(t), base,
+                                               quota, workers));
+        }
+        for (int origin = 0; origin < workers; ++origin) {
+          const int data = frame_data_tag(base, quota, origin);
+          const int ack = frame_ack_tag(base, quota, origin);
+          EXPECT_TRUE(is_epoch_frame_data_tag(data, base, quota, workers));
+          EXPECT_FALSE(is_epoch_frame_data_tag(ack, base, quota, workers));
+          EXPECT_EQ(origin_of_frame_data_tag(data, base, quota), origin);
+          EXPECT_LT(static_cast<std::uint64_t>(ack), next);
+          // Another epoch's window never claims this frame.
+          EXPECT_FALSE(is_epoch_frame_data_tag(data, next, quota, workers));
+        }
+      }
+    }
+  }
+  EXPECT_FALSE(is_epoch_frame_data_tag(-2, 0, 1, 2));
+}
+
+TEST(ExchangeFrameFormat, ZeroCountFrameRoundTrips) {
   // A zero-quota epoch never sends frames, but the format still defines
   // the empty frame: header only, offsets = {0}.
   std::vector<std::byte> buf;
@@ -90,7 +137,7 @@ TEST(ExchangeWireFormat, ZeroCountFrameRoundTrips) {
   EXPECT_EQ(v.count(), 0U);
 }
 
-TEST(ExchangeWireFormat, AllEmptyPayloadsRoundTrip) {
+TEST(ExchangeFrameFormat, AllEmptyPayloadsRoundTrip) {
   std::vector<std::byte> buf;
   const std::uint32_t count = 17;
   FrameWriter w(buf, /*epoch=*/42, /*origin=*/2, frame_flow_id(42, 2, 0), count);
@@ -106,7 +153,7 @@ TEST(ExchangeWireFormat, AllEmptyPayloadsRoundTrip) {
   }
 }
 
-TEST(ExchangeWireFormat, VariableLengthPayloadsRoundTrip) {
+TEST(ExchangeFrameFormat, VariableLengthPayloadsRoundTrip) {
   std::vector<std::byte> buf;
   const std::uint32_t count = 9;
   FrameWriter w(buf, /*epoch=*/1234567, /*origin=*/1, frame_flow_id(1234567, 1, 2), count);
@@ -129,7 +176,7 @@ TEST(ExchangeWireFormat, VariableLengthPayloadsRoundTrip) {
   }
 }
 
-TEST(ExchangeWireFormat, TruncatedFramesAreRejected) {
+TEST(ExchangeFrameFormat, TruncatedFramesAreRejected) {
   std::vector<std::byte> buf;
   FrameWriter w(buf, /*epoch=*/5, /*origin=*/0, frame_flow_id(5, 0, 1),
                 /*count=*/2);
@@ -150,7 +197,7 @@ TEST(ExchangeWireFormat, TruncatedFramesAreRejected) {
   EXPECT_NO_THROW((void)parse_frame(buf));
 }
 
-TEST(ExchangeWireFormat, CorruptOffsetTablesAreRejected) {
+TEST(ExchangeFrameFormat, CorruptOffsetTablesAreRejected) {
   const auto make = [] {
     std::vector<std::byte> buf;
     FrameWriter w(buf, /*epoch=*/1, /*origin=*/0, /*flow_id=*/0,
@@ -182,7 +229,7 @@ TEST(ExchangeWireFormat, CorruptOffsetTablesAreRejected) {
   }
 }
 
-TEST(ExchangeWireFormat, WriterEnforcesTheDeclaredCount) {
+TEST(ExchangeFrameFormat, WriterEnforcesTheDeclaredCount) {
   std::vector<std::byte> buf;
   FrameWriter w(buf, /*epoch=*/1, /*origin=*/0, /*flow_id=*/0, /*count=*/1);
   w.begin_sample(3);
@@ -195,25 +242,7 @@ TEST(ExchangeWireFormat, WriterEnforcesTheDeclaredCount) {
   EXPECT_THROW(w2.finish(), CheckError);  // one too few
 }
 
-// ----------------------------------------------------------------- switch --
-
-TEST(ExchangeWireMode, ScopedOverrideRestores) {
-  const ExchangeWire before = exchange_wire();
-  {
-    ScopedExchangeWire scoped(ExchangeWire::kPerSample);
-    EXPECT_EQ(exchange_wire(), ExchangeWire::kPerSample);
-    {
-      ScopedExchangeWire nested(ExchangeWire::kCoalesced);
-      EXPECT_EQ(exchange_wire(), ExchangeWire::kCoalesced);
-    }
-    EXPECT_EQ(exchange_wire(), ExchangeWire::kPerSample);
-  }
-  EXPECT_EQ(exchange_wire(), before);
-  EXPECT_STREQ(to_string(ExchangeWire::kPerSample), "per-sample");
-  EXPECT_STREQ(to_string(ExchangeWire::kCoalesced), "coalesced");
-}
-
-// ---------------------------------------------------- cross-mode identity --
+// ------------------------------------------------ end-to-end identity --
 
 std::vector<std::vector<SampleId>> make_shards(std::size_t n, int workers) {
   std::vector<std::vector<SampleId>> shards(
@@ -226,13 +255,11 @@ std::vector<std::vector<SampleId>> make_shards(std::size_t n, int workers) {
 }
 
 // Run `epochs` fast-path exchange epochs (with payloads and the shared
-// post-shuffle) under `wire` and return the final shards.
-std::vector<std::vector<SampleId>> run_fast_epochs(ExchangeWire wire,
-                                                   std::size_t n, int m,
+// post-shuffle) and return the final shards.
+std::vector<std::vector<SampleId>> run_fast_epochs(std::size_t n, int m,
                                                    double q,
                                                    std::uint64_t seed,
                                                    std::size_t epochs) {
-  ScopedExchangeWire mode(wire);
   auto shards = make_shards(n, m);
   std::size_t min_shard = shards[0].size();
   for (const auto& s : shards) min_shard = std::min(min_shard, s.size());
@@ -269,10 +296,10 @@ std::vector<std::vector<SampleId>> run_fast_epochs(ExchangeWire wire,
   return out;
 }
 
-TEST(ExchangeWireEquivalence, FastPathsBitIdenticalAcrossSeedsAndQuotas) {
-  // The coalesced frame is a pure re-encoding: for every (seed, Q, M) the
-  // post-epoch shard SEQUENCES (not just sets) must match the per-sample
-  // wire exactly.
+TEST(ExchangeFrameEquivalence, FastPathsBitIdenticalAcrossSeedsAndQuotas) {
+  // Framing is a pure re-encoding of the plan's rounds: for every
+  // (seed, Q, M) the post-epoch shard SEQUENCES (not just sets) must match
+  // the sequential driver exactly, variable-length payloads included.
   const struct {
     std::size_t n;
     int m;
@@ -286,12 +313,13 @@ TEST(ExchangeWireEquivalence, FastPathsBitIdenticalAcrossSeedsAndQuotas) {
       {6, 6, 1.0, 11},  // shard = 1: every sample in flight
   };
   for (const auto& c : cases) {
-    const auto a =
-        run_fast_epochs(ExchangeWire::kPerSample, c.n, c.m, c.q, c.seed, 3);
-    const auto b =
-        run_fast_epochs(ExchangeWire::kCoalesced, c.n, c.m, c.q, c.seed, 3);
-    EXPECT_EQ(a, b) << "wires diverged at n=" << c.n << " m=" << c.m
-                    << " q=" << c.q << " seed=" << c.seed;
+    PartialLocalShuffler pls(make_shards(c.n, c.m), c.q, c.seed);
+    for (std::size_t epoch = 0; epoch < 3; ++epoch) pls.begin_epoch(epoch);
+    std::vector<std::vector<SampleId>> reference;
+    for (const auto& s : pls.stores()) reference.push_back(s.ids());
+    EXPECT_EQ(run_fast_epochs(c.n, c.m, c.q, c.seed, 3), reference)
+        << "framed exchange diverged at n=" << c.n << " m=" << c.m
+        << " q=" << c.q << " seed=" << c.seed;
   }
 }
 

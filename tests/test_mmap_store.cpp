@@ -2,8 +2,8 @@
 // round-trips, segment rollover, the byte-exact capacity bound, epoch-
 // based reclamation (pins block retirement; advance_epoch frees dead
 // segments), compaction of cold segments, crash-style reopen/replay of
-// the segment log, both slot-index backends, and a TSan storm of
-// concurrent pinned readers against a mutating writer.
+// the segment log, index lookups across interleaved removals, and a TSan
+// storm of concurrent pinned readers against a mutating writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -382,25 +382,24 @@ TEST_F(MmapStoreTest, ReopenIgnoresForeignFiles) {
   EXPECT_TRUE(reopened.contains(1));
 }
 
-TEST_F(MmapStoreTest, WorksWithBothIndexBackends) {
-  for (const auto kind :
-       {SlotIndexKind::kOpenAddressing, SlotIndexKind::kLearned}) {
-    const fs::path sub = dir_ / to_string(kind);
-    ScopedSlotIndex scoped(kind);
-    MmapSampleStore store(sub);  // picks up the scoped default
-    EXPECT_EQ(store.index_kind(), kind);
-    for (data::SampleId id = 0; id < 2'000; ++id) {
-      store.save(id, payload_for(id, 8, 24));
-    }
-    for (data::SampleId id = 0; id < 2'000; id += 2) store.remove(id);
-    for (data::SampleId id = 1; id < 2'000; id += 2) {
-      std::vector<std::byte> out;
-      store.load_into(id, out);
-      ASSERT_EQ(out, payload_for(id, 8, 24)) << to_string(kind) << " " << id;
-    }
-    EXPECT_EQ(store.size(), 1'000U);
-    EXPECT_GT(store.index_stats().lookups, 0U);
+TEST_F(MmapStoreTest, InterleavedRemovesKeepSurvivorsReadable) {
+  // Every other id removed: half the index turns to tombstones, and each
+  // survivor must still resolve to its own record through the index.
+  MmapSampleStore store(dir_);
+  for (data::SampleId id = 0; id < 2'000; ++id) {
+    store.save(id, payload_for(id, 8, 24));
   }
+  for (data::SampleId id = 0; id < 2'000; id += 2) store.remove(id);
+  for (data::SampleId id = 1; id < 2'000; id += 2) {
+    std::vector<std::byte> out;
+    store.load_into(id, out);
+    ASSERT_EQ(out, payload_for(id, 8, 24)) << id;
+  }
+  for (data::SampleId id = 0; id < 2'000; id += 2) {
+    EXPECT_FALSE(store.contains(id)) << id;
+  }
+  EXPECT_EQ(store.size(), 1'000U);
+  EXPECT_GE(store.index_stats().lookups, 1'000U);
 }
 
 // TSan storm: concurrent pinned readers racing a writer that removes,

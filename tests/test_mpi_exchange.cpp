@@ -4,12 +4,14 @@
 // same (seed, epoch, worker) streams.
 #include "shuffle/mpi_exchange.hpp"
 
+#include <map>
 #include <mutex>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "shuffle/shuffler.hpp"
 #include "shuffle/traffic.hpp"
 
@@ -233,74 +235,187 @@ TEST(MpiExchangeEdge, BytesAccountingMatchesTrafficModelAndCommCounters) {
   const std::size_t quota = exchange_quota(shard, q);
   const std::size_t epochs = 2;
 
-  for (const ExchangeWire wire :
-       {ExchangeWire::kPerSample, ExchangeWire::kCoalesced}) {
-    SCOPED_TRACE(to_string(wire));
-    ScopedExchangeWire mode(wire);
+  auto shards = make_shards(n, static_cast<std::size_t>(m));
+  std::vector<ShardStore> stores;
+  for (auto& s : shards) stores.emplace_back(std::move(s), shard + quota);
 
-    auto shards = make_shards(n, static_cast<std::size_t>(m));
-    std::vector<ShardStore> stores;
-    for (auto& s : shards) stores.emplace_back(std::move(s), shard + quota);
+  std::vector<ExchangeOutcome> outcomes(static_cast<std::size_t>(m) * epochs);
+  auto& isend_counter = obs::Registry::instance().counter("comm.isend");
+  auto& bytes_counter = obs::Registry::instance().counter("comm.bytes_sent");
+  const std::uint64_t isend_before = isend_counter.value();
+  const std::uint64_t bytes_before = bytes_counter.value();
 
-    std::vector<ExchangeOutcome> outcomes(
-        static_cast<std::size_t>(m) * epochs);
-    auto& isend_counter = obs::Registry::instance().counter("comm.isend");
-    auto& bytes_counter =
-        obs::Registry::instance().counter("comm.bytes_sent");
-    const std::uint64_t isend_before = isend_counter.value();
-    const std::uint64_t bytes_before = bytes_counter.value();
-
-    comm::World world(m);
-    world.run([&](comm::Communicator& c) {
-      const auto r = static_cast<std::size_t>(c.rank());
-      for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
-        outcomes[r * epochs + epoch] = run_pls_exchange_epoch(
-            c, stores[r], /*seed=*/17, epoch, q, shard,
-            [&](SampleId id, std::vector<std::byte>& out) {
-              out.insert(out.end(), kPayloadBytes,
-                         static_cast<std::byte>(id & 0xFF));
-            });
-        post_exchange_local_shuffle(17, epoch, c.rank(),
-                                    stores[r].mutable_ids());
-      }
-    });
-
-    // Fast path, no faults: no retransmits, so the outcome's bytes_sent
-    // is exactly the offered bytes, and the analytic model prices the
-    // payload portion of every rank's epoch.
-    const std::size_t model_body =
-        pls_exchange_payload_bytes(quota, kPayloadBytes);
-    TrafficParams tp;
-    tp.dataset_bytes =
-        static_cast<double>(n) * static_cast<double>(kPayloadBytes);
-    tp.workers = static_cast<std::size_t>(m);
-    tp.q = q;
-    // ceil(q * shard) == q * shard here, so the double model is exact too.
-    EXPECT_EQ(compute_traffic(tp).sent_per_worker,
-              static_cast<double>(model_body));
-
-    std::size_t sum_msgs = 0;
-    std::size_t sum_bytes_sent = 0;
-    for (const auto& o : outcomes) {
-      EXPECT_EQ(o.rounds, quota);
-      EXPECT_EQ(o.bytes_body, model_body);
-      EXPECT_EQ(o.bytes_header + o.bytes_body, o.bytes_offered);
-      EXPECT_EQ(o.bytes_sent, o.bytes_offered);
-      if (wire == ExchangeWire::kPerSample) {
-        EXPECT_EQ(o.msgs_sent, quota);
-        EXPECT_EQ(o.bytes_header, quota * sizeof(SampleId));
-      } else {
-        // One frame per distinct destination (self included — the plan
-        // may route rounds back to the sender).
-        EXPECT_LE(o.msgs_sent, static_cast<std::size_t>(m));
-        EXPECT_GE(o.msgs_sent, 1U);
-      }
-      sum_msgs += o.msgs_sent;
-      sum_bytes_sent += o.bytes_sent;
+  comm::World world(m);
+  world.run([&](comm::Communicator& c) {
+    const auto r = static_cast<std::size_t>(c.rank());
+    for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
+      outcomes[r * epochs + epoch] = run_pls_exchange_epoch(
+          c, stores[r], /*seed=*/17, epoch, q, shard,
+          [&](SampleId id, std::vector<std::byte>& out) {
+            out.insert(out.end(), kPayloadBytes,
+                       static_cast<std::byte>(id & 0xFF));
+          });
+      post_exchange_local_shuffle(17, epoch, c.rank(),
+                                  stores[r].mutable_ids());
     }
-    EXPECT_EQ(isend_counter.value() - isend_before, sum_msgs);
-    EXPECT_EQ(bytes_counter.value() - bytes_before, sum_bytes_sent);
+  });
+
+  // Fast path, no faults: no retransmits, so the outcome's bytes_sent is
+  // exactly the offered bytes, and the analytic model prices the payload
+  // portion of every rank's epoch.
+  const std::size_t model_body =
+      pls_exchange_payload_bytes(quota, kPayloadBytes);
+  TrafficParams tp;
+  tp.dataset_bytes = static_cast<double>(n) * static_cast<double>(kPayloadBytes);
+  tp.workers = static_cast<std::size_t>(m);
+  tp.q = q;
+  // ceil(q * shard) == q * shard here, so the double model is exact too.
+  EXPECT_EQ(compute_traffic(tp).sent_per_worker,
+            static_cast<double>(model_body));
+
+  std::size_t sum_msgs = 0;
+  std::size_t sum_bytes_sent = 0;
+  for (const auto& o : outcomes) {
+    EXPECT_EQ(o.rounds, quota);
+    EXPECT_EQ(o.bytes_body, model_body);
+    EXPECT_EQ(o.bytes_header + o.bytes_body, o.bytes_offered);
+    EXPECT_EQ(o.bytes_sent, o.bytes_offered);
+    // One frame per distinct destination (self included — the plan may
+    // route rounds back to the sender).
+    EXPECT_LE(o.msgs_sent, static_cast<std::size_t>(m));
+    EXPECT_GE(o.msgs_sent, 1U);
+    sum_msgs += o.msgs_sent;
+    sum_bytes_sent += o.bytes_sent;
   }
+  EXPECT_EQ(isend_counter.value() - isend_before, sum_msgs);
+  EXPECT_EQ(bytes_counter.value() - bytes_before, sum_bytes_sent);
+}
+
+// Decorator over a rank's communicator that checks trace causality at the
+// sender: when a DATA frame is handed to the fabric, the tracer must
+// already hold one exchange.frame send/step point per attempt of that
+// frame, because the receiver may record the flow's finish the instant
+// the frame lands. With `drop_first_attempt` the decorator swallows each
+// frame's first attempt, so the robust path must retransmit (kStep).
+class FlowOrderCheckingComm final : public comm::Communicator {
+ public:
+  FlowOrderCheckingComm(comm::Communicator& inner,
+                        comm::detail::CollectiveSlots& slots,
+                        bool drop_first_attempt)
+      : Communicator(inner.rank()),
+        inner_(inner),
+        slots_(slots),
+        drop_first_attempt_(drop_first_attempt) {}
+
+  [[nodiscard]] int size() const override { return inner_.size(); }
+  comm::Request isend(int dest, int tag,
+                      std::vector<std::byte> payload) override {
+    return inner_.isend(dest, tag, std::move(payload));
+  }
+  void send(int dest, int tag, std::vector<std::byte> payload) override {
+    if (!payload.empty()) {  // ACKs are empty; frames never are
+      const std::uint64_t flow = parse_frame(payload).flow_id();
+      const std::size_t attempt = ++attempts_[flow];
+      EXPECT_GE(recorded_send_points(flow), attempt)
+          << "rank " << rank() << " sent attempt " << attempt
+          << " of flow " << flow << " before tracing it";
+      if (drop_first_attempt_ && attempt == 1) return;
+    }
+    inner_.send(dest, tag, std::move(payload));
+  }
+  comm::Request irecv(int source, int tag) override {
+    return inner_.irecv(source, tag);
+  }
+  comm::Message recv(int source, int tag) override {
+    return inner_.recv(source, tag);
+  }
+  std::optional<comm::Message> poll(int source, int tag) override {
+    return inner_.poll(source, tag);
+  }
+  bool cancel(comm::Request& request) override {
+    return inner_.cancel(request);
+  }
+  [[nodiscard]] bool fault_injection_enabled() const override {
+    return inner_.fault_injection_enabled();
+  }
+  void fence_faults() override { inner_.fence_faults(); }
+  void barrier() override { inner_.barrier(); }
+  [[nodiscard]] std::uint64_t now_us() override { return inner_.now_us(); }
+  void backoff(std::chrono::microseconds pause) override {
+    inner_.backoff(pause);
+  }
+  [[nodiscard]] comm::BufferPool& pool() override { return inner_.pool(); }
+
+ protected:
+  [[nodiscard]] comm::detail::CollectiveSlots& collective_slots() override {
+    return slots_;
+  }
+
+ private:
+  static std::size_t recorded_send_points(std::uint64_t flow) {
+    std::size_t n = 0;
+    for (const auto& f : obs::Tracer::instance().flow_snapshot()) {
+      if (f.name == "exchange.frame" && f.id == flow &&
+          f.phase != obs::FlowPhase::kFinish) {
+        ++n;
+      }
+    }
+    return n;
+  }
+
+  comm::Communicator& inner_;
+  comm::detail::CollectiveSlots& slots_;
+  bool drop_first_attempt_;
+  std::map<std::uint64_t, std::size_t> attempts_;
+};
+
+// Runs two traced epochs through FlowOrderCheckingComm; returns the summed
+// retransmissions.
+std::size_t run_flow_order_checked(const ExchangeRobustness* robust,
+                                   bool drop_first_attempt) {
+  const int m = 4;
+  const std::size_t shard = 12;
+  const double q = 0.5;
+  auto& tracer = obs::Tracer::instance();
+  tracer.clear();
+  tracer.set_enabled(true);
+  auto shards = make_shards(shard * m, m);
+  std::vector<ShardStore> stores;
+  for (auto& s : shards) {
+    stores.emplace_back(std::move(s), shard + exchange_quota(shard, q));
+  }
+  comm::detail::CollectiveSlots slots;
+  slots.init(m);
+  std::mutex mu;
+  std::size_t retries = 0;
+  comm::World world(m);
+  for (std::size_t epoch = 0; epoch < 2; ++epoch) {
+    world.run([&](comm::Communicator& c) {
+      FlowOrderCheckingComm checked(c, slots, drop_first_attempt);
+      auto& store = stores[static_cast<std::size_t>(c.rank())];
+      const auto out = run_pls_exchange_epoch(checked, store, 5, epoch, q,
+                                              shard, nullptr, nullptr,
+                                              robust);
+      post_exchange_local_shuffle(5, epoch, c.rank(), store.mutable_ids());
+      std::lock_guard<std::mutex> lk(mu);
+      retries += out.retries;
+    });
+  }
+  tracer.set_enabled(false);
+  tracer.clear();
+  return retries;
+}
+
+TEST(MpiExchangeTrace, FastPathTracesEachFrameBeforeSendingIt) {
+  EXPECT_EQ(run_flow_order_checked(nullptr, false), 0U);
+}
+
+TEST(MpiExchangeTrace, RobustPathTracesEveryAttemptBeforeSendingIt) {
+  ExchangeRobustness robust;
+  robust.ack_timeout = std::chrono::milliseconds(2);
+  robust.recv_deadline = std::chrono::seconds(5);
+  EXPECT_GT(run_flow_order_checked(&robust, /*drop_first_attempt=*/true),
+            0U);
 }
 
 TEST(MpiExchangeEdge, OutcomeAccumulatesIntoStats) {

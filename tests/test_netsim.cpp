@@ -132,13 +132,54 @@ TEST(FlowSim, HierarchicalPlanRelievesTheFabric) {
   // half its rounds off the fabric.
   const LinkCaps tight = caps(1000.0, /*fabric=*/4000.0);
   const shuffle::ExchangePlan flat(7, 0, groups * gsize, quota);
-  const shuffle::HierarchicalExchangePlan hier(7, 0, groups, gsize, quota,
-                                               /*intra=*/0.5);
+  shuffle::ExchangePlan hier;
+  hier.rebuild_grouped(7, 0, groups, gsize, quota, /*intra_fraction=*/0.5);
   const auto flat_out =
       simulate_flows(flows_from_plan(flat, bytes), tight, groups * gsize);
-  const auto hier_out = simulate_flows(
-      flows_from_hierarchical_plan(hier, bytes), tight, groups * gsize);
+  const auto hier_out = simulate_flows(flows_from_plan(hier, bytes, gsize),
+                                       tight, groups * gsize);
   EXPECT_LT(hier_out.makespan_s, flat_out.makespan_s);
+}
+
+TEST(FlowSim, FlatPlanFlowsMirrorThePlanOnTheFabric) {
+  // One flow per (round, rank), in round-major order, each carrying one
+  // sample; with no group size every flow crosses the fabric.
+  const shuffle::ExchangePlan plan(11, 2, 6, 5);
+  const auto flows = flows_from_plan(plan, 250.0);
+  ASSERT_EQ(flows.size(), plan.rounds() * 6);
+  for (std::size_t i = 0; i < plan.rounds(); ++i) {
+    for (int r = 0; r < 6; ++r) {
+      const Flow& f = flows[i * 6 + static_cast<std::size_t>(r)];
+      EXPECT_EQ(f.src, r);
+      EXPECT_EQ(f.dst, plan.dest(i, r));
+      EXPECT_DOUBLE_EQ(f.bytes, 250.0);
+      EXPECT_DOUBLE_EQ(f.start_s, 0.0);
+      EXPECT_TRUE(f.uses_fabric);
+    }
+  }
+}
+
+TEST(FlowSim, GroupedFlowsKeepIntraGroupTrafficOffTheFabric) {
+  // With a group size, exactly the group-crossing flows use the fabric,
+  // so the off-fabric share is the plan's intra-group fraction.
+  const int groups = 4;
+  const int gsize = 4;
+  shuffle::ExchangePlan plan;
+  plan.rebuild_grouped(5, 1, groups, gsize, 8, /*intra_fraction=*/0.5);
+  const auto flows = flows_from_plan(plan, 100.0, gsize);
+  ASSERT_EQ(flows.size(),
+            plan.rounds() * static_cast<std::size_t>(groups * gsize));
+  std::size_t off_fabric = 0;
+  for (const Flow& f : flows) {
+    EXPECT_EQ(f.uses_fabric, f.src / gsize != f.dst / gsize)
+        << f.src << " -> " << f.dst;
+    off_fabric += f.uses_fabric ? 0 : 1;
+  }
+  EXPECT_DOUBLE_EQ(static_cast<double>(off_fabric) /
+                       static_cast<double>(flows.size()),
+                   plan.intra_group_fraction(gsize));
+  // Half the rounds are intra-group, so at least half the flows stay off.
+  EXPECT_GE(2 * off_fabric, flows.size());
 }
 
 TEST(FlowSim, RingAllreduceClosedForm) {

@@ -49,6 +49,18 @@ TEST(RingQueue, GrowsAcrossTheWrapBoundary) {
   EXPECT_TRUE(q.empty());
 }
 
+TEST(RingQueue, ReserveHoldsThatManyWithoutGrowing) {
+  RingQueue<int> q;
+  q.reserve(20);
+  const std::size_t cap = q.capacity();
+  EXPECT_GE(cap, 20U);
+  for (int i = 0; i < 20; ++i) q.push_back(i);
+  EXPECT_EQ(q.capacity(), cap);
+  q.reserve(4);  // never shrinks
+  EXPECT_EQ(q.capacity(), cap);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(q.pop_front(), i);
+}
+
 TEST(RingQueue, MoveOnlyElements) {
   RingQueue<std::unique_ptr<int>> q;
   q.push_back(std::make_unique<int>(1));

@@ -156,62 +156,29 @@ TEST(ShardStoreIndex, ManyDuplicatesOfOneId) {
   EXPECT_THROW(s.remove_id(5), CheckError);
 }
 
-// The removal index rides on io::SlotIndex: under the learned backend
-// (ScopedSlotIndex) the observable ids() sequence must stay bit-identical
-// to the open-addressing default across a mixed schedule — the backends
-// are interchangeable behind the store.
-TEST(ShardStoreIndex, LearnedBackendMatchesOpenAddressing) {
-  std::vector<SampleId> initial;
-  for (SampleId id = 0; id < 48; ++id) initial.push_back(id);
-
-  auto run_schedule = [&initial](io::SlotIndexKind kind) {
-    io::ScopedSlotIndex scoped(kind);
-    ShardStore store(initial, 0);
-    Rng rng(123);
-    std::vector<std::vector<SampleId>> history;
-    for (int step = 0; step < 5'000; ++step) {
-      const auto op = rng.uniform_u64(8);
-      const std::size_t n = store.ids().size();
-      if (op < 3 || n == 0) {
-        store.add(static_cast<SampleId>(rng.uniform_u64(256)));
-      } else if (op < 6) {
-        store.remove_id(
-            store.ids()[static_cast<std::size_t>(rng.uniform_u64(n))]);
-      } else if (op == 6) {
-        store.remove_slot(static_cast<std::size_t>(rng.uniform_u64(n)));
-      } else {
-        Rng perm(static_cast<std::uint64_t>(step));
-        perm.shuffle(store.mutable_ids());
-      }
-      history.push_back(store.ids());
-    }
-    return history;
-  };
-
-  const auto hash_arm = run_schedule(io::SlotIndexKind::kOpenAddressing);
-  const auto learned_arm = run_schedule(io::SlotIndexKind::kLearned);
-  ASSERT_EQ(hash_arm.size(), learned_arm.size());
-  for (std::size_t i = 0; i < hash_arm.size(); ++i) {
-    ASSERT_EQ(hash_arm[i], learned_arm[i]) << "diverged at step " << i;
-  }
-}
-
-// Switching the process-wide backend mid-stream takes effect at the next
-// lazy rebuild (mutable_ids invalidation) without corrupting state.
-TEST(ShardStoreIndex, BackendSwitchMidStreamRebuildsCleanly) {
+// The removal index is built lazily and dropped whenever mutable_ids()
+// hands out the vector; the next removal rebuilds it from the current
+// ids, with no stale slot surviving from before the hand-out.
+TEST(ShardStoreIndex, MutableIdsInvalidationRebuildsCleanly) {
   ShardStore s({1, 2, 3, 2}, 0);
-  s.remove_id(2);  // builds the default (open-addressing) index
+  s.remove_id(2);  // builds the index
   EXPECT_EQ(s.ids(), (std::vector<SampleId>{1, 2, 3}));
-  {
-    io::ScopedSlotIndex learned(io::SlotIndexKind::kLearned);
-    s.mutable_ids();  // invalidate so the next op rebuilds (now learned)
-    s.remove_id(3);
-    EXPECT_EQ(s.ids(), (std::vector<SampleId>{1, 2}));
-    EXPECT_GT(s.index_stats().lookups, 0U);
-  }
-  s.mutable_ids();
-  s.remove_id(1);  // back on the default backend
-  EXPECT_EQ(s.ids(), (std::vector<SampleId>{2}));
+  const auto built = s.index_stats();
+  EXPECT_GT(built.lookups, 0U);
+
+  auto& ids = s.mutable_ids();  // invalidates the index
+  std::reverse(ids.begin(), ids.end());  // 3 2 1: every slot moved
+  s.remove_id(3);  // rebuilt from the permuted ids
+  EXPECT_EQ(s.ids(), (std::vector<SampleId>{1, 2}));
+  EXPECT_GT(s.index_stats().lookups, built.lookups);
+
+  s.mutable_ids().push_back(7);
+  s.remove_id(1);  // slot 0 refilled by the last id
+  EXPECT_EQ(s.ids(), (std::vector<SampleId>{7, 2}));
+  s.remove_id(2);
+  s.remove_id(7);
+  EXPECT_TRUE(s.ids().empty());
+  EXPECT_THROW(s.remove_id(2), CheckError);
 }
 
 TEST(PlsCapacity, MatchesShardPlusQuota) {

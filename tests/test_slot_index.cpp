@@ -1,11 +1,9 @@
-// Unit + randomized differential tests for the pluggable id -> slot
-// index (io/slot_index.hpp): both backends must agree with a std::map
-// reference over arbitrary put/erase/find/clear schedules, and the
-// learned backend's piecewise-linear core must stay correct through
-// delta merges, tombstoning and rebuilds.
+// Unit + randomized differential tests for the id -> slot index
+// (io/slot_index.hpp): it must agree with a std::map reference over
+// arbitrary put/erase/find/clear schedules, through tombstoning and
+// rehashes, and keep linear probing's probe counts and amortised growth.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <map>
 #include <random>
 #include <vector>
@@ -15,76 +13,65 @@
 namespace dshuf::io {
 namespace {
 
-class SlotIndexBackends
-    : public ::testing::TestWithParam<SlotIndexKind> {};
+TEST(SlotIndex, PutFindEraseBasics) {
+  SlotIndex idx;
+  EXPECT_EQ(idx.size(), 0U);
 
-INSTANTIATE_TEST_SUITE_P(Backends, SlotIndexBackends,
-                         ::testing::Values(SlotIndexKind::kOpenAddressing,
-                                           SlotIndexKind::kLearned),
-                         [](const auto& info) {
-                           return to_string(info.param);
-                         });
-
-TEST_P(SlotIndexBackends, PutFindEraseBasics) {
-  auto idx = make_slot_index(GetParam());
-  EXPECT_EQ(idx->kind(), GetParam());
-  EXPECT_EQ(idx->size(), 0U);
-
-  EXPECT_TRUE(idx->put(7, 70));
-  EXPECT_TRUE(idx->put(3, 30));
-  EXPECT_FALSE(idx->put(7, 71));  // overwrite is not an insert
-  EXPECT_EQ(idx->size(), 2U);
+  EXPECT_TRUE(idx.put(7, 70));
+  EXPECT_TRUE(idx.put(3, 30));
+  EXPECT_FALSE(idx.put(7, 71));  // overwrite is not an insert
+  EXPECT_EQ(idx.size(), 2U);
 
   std::uint64_t v = 0;
-  ASSERT_TRUE(idx->find(7, v));
+  ASSERT_TRUE(idx.find(7, v));
   EXPECT_EQ(v, 71U);
-  ASSERT_TRUE(idx->find(3, v));
+  ASSERT_TRUE(idx.find(3, v));
   EXPECT_EQ(v, 30U);
-  EXPECT_FALSE(idx->find(4, v));
+  EXPECT_FALSE(idx.find(4, v));
 
-  EXPECT_TRUE(idx->erase(7));
-  EXPECT_FALSE(idx->erase(7));
-  EXPECT_FALSE(idx->find(7, v));
-  EXPECT_EQ(idx->size(), 1U);
+  EXPECT_TRUE(idx.erase(7));
+  EXPECT_FALSE(idx.erase(7));
+  EXPECT_FALSE(idx.find(7, v));
+  EXPECT_EQ(idx.size(), 1U);
 }
 
-TEST_P(SlotIndexBackends, ClearEmptiesAndStaysUsable) {
-  auto idx = make_slot_index(GetParam());
-  for (data::SampleId id = 0; id < 500; ++id) idx->put(id, id * 2);
-  idx->clear();
-  EXPECT_EQ(idx->size(), 0U);
+TEST(SlotIndex, ClearEmptiesAndStaysUsable) {
+  SlotIndex idx;
+  for (data::SampleId id = 0; id < 500; ++id) idx.put(id, id * 2);
+  idx.clear();
+  EXPECT_EQ(idx.size(), 0U);
   std::uint64_t v = 0;
-  EXPECT_FALSE(idx->find(123, v));
-  for (data::SampleId id = 0; id < 500; ++id) idx->put(id, id * 3);
-  ASSERT_TRUE(idx->find(123, v));
+  EXPECT_FALSE(idx.find(123, v));
+  for (data::SampleId id = 0; id < 500; ++id) idx.put(id, id * 3);
+  ASSERT_TRUE(idx.find(123, v));
   EXPECT_EQ(v, 369U);
 }
 
-TEST_P(SlotIndexBackends, ForEachVisitsEveryLivePair) {
-  auto idx = make_slot_index(GetParam());
+TEST(SlotIndex, ForEachVisitsEveryLivePair) {
+  SlotIndex idx;
   std::map<data::SampleId, std::uint64_t> ref;
   for (data::SampleId id = 0; id < 300; id += 3) {
-    idx->put(id, id + 1000);
+    idx.put(id, id + 1000);
     ref[id] = id + 1000;
   }
   for (data::SampleId id = 0; id < 300; id += 9) {
-    idx->erase(id);
+    idx.erase(id);
     ref.erase(id);
   }
   std::map<data::SampleId, std::uint64_t> seen;
-  idx->for_each([&seen](data::SampleId id, std::uint64_t v) {
+  idx.for_each([&seen](data::SampleId id, std::uint64_t v) {
     EXPECT_TRUE(seen.emplace(id, v).second) << "duplicate visit of " << id;
   });
   EXPECT_EQ(seen, ref);
 }
 
 // The core differential guarantee: any interleaving of put/erase/find
-// matches a std::map, for dense ids (learned index's best case), sparse
-// random ids (its worst case), and mixtures with heavy overwriting.
-TEST_P(SlotIndexBackends, MatchesMapReferenceUnderRandomSchedules) {
+// matches a std::map, for dense ids, sparse random ids, and mixtures with
+// heavy overwriting.
+TEST(SlotIndex, MatchesMapReferenceUnderRandomSchedules) {
   for (const std::uint32_t id_range : {1'000U, 1'000'000'000U}) {
     for (const std::uint64_t seed : {1ULL, 77ULL, 20'26ULL}) {
-      auto idx = make_slot_index(GetParam());
+      SlotIndex idx;
       std::map<data::SampleId, std::uint64_t> ref;
       std::mt19937_64 rng(seed);
       std::uniform_int_distribution<std::uint32_t> id_dist(0, id_range - 1);
@@ -96,100 +83,142 @@ TEST_P(SlotIndexBackends, MatchesMapReferenceUnderRandomSchedules) {
             const std::uint64_t v = rng();
             const bool was_new = ref.emplace(id, v).second;
             if (!was_new) ref[id] = v;
-            EXPECT_EQ(idx->put(id, v), was_new);
+            EXPECT_EQ(idx.put(id, v), was_new);
             break;
           }
           case 2: {  // erase (25%)
-            EXPECT_EQ(idx->erase(id), ref.erase(id) > 0);
+            EXPECT_EQ(idx.erase(id), ref.erase(id) > 0);
             break;
           }
           default: {  // find (25%)
             std::uint64_t v = 0;
             const auto it = ref.find(id);
-            EXPECT_EQ(idx->find(id, v), it != ref.end());
-            if (it != ref.end()) EXPECT_EQ(v, it->second);
+            EXPECT_EQ(idx.find(id, v), it != ref.end());
+            if (it != ref.end()) {
+              EXPECT_EQ(v, it->second);
+            }
             break;
           }
         }
-        EXPECT_EQ(idx->size(), ref.size());
+        EXPECT_EQ(idx.size(), ref.size());
       }
       // Full sweep at the end: every live key findable, with its value.
       for (const auto& [id, v] : ref) {
         std::uint64_t got = 0;
-        ASSERT_TRUE(idx->find(id, got)) << "lost id " << id;
+        ASSERT_TRUE(idx.find(id, got)) << "lost id " << id;
         EXPECT_EQ(got, v);
       }
     }
   }
 }
 
-TEST_P(SlotIndexBackends, StatsCountLookups) {
-  auto idx = make_slot_index(GetParam());
-  for (data::SampleId id = 0; id < 1'000; ++id) idx->put(id, id);
-  const auto before = idx->stats();
+TEST(SlotIndex, StatsCountLookups) {
+  SlotIndex idx;
+  for (data::SampleId id = 0; id < 1'000; ++id) idx.put(id, id);
+  const auto before = idx.stats();
   std::uint64_t v = 0;
   for (data::SampleId id = 0; id < 1'000; ++id) {
-    ASSERT_TRUE(idx->find(id, v));
+    ASSERT_TRUE(idx.find(id, v));
   }
-  const auto after = idx->stats();
+  const auto after = idx.stats();
   EXPECT_EQ(after.lookups - before.lookups, 1'000U);
   EXPECT_GE(after.probes, before.probes);
 }
 
-// Sorted dense keys are the learned index's home turf: the piecewise-
-// linear fit should cover a perfectly linear id space with one segment
-// and near-zero last-mile probes per lookup.
-TEST(LearnedSlotIndex, DenseSortedKeysLookupWithFewProbes) {
-  auto idx = make_slot_index(SlotIndexKind::kLearned);
-  constexpr std::size_t kN = 100'000;
-  for (data::SampleId id = 0; id < kN; ++id) idx->put(id, id * 7);
-  // Force the delta buffer into the learned core so lookups exercise the
-  // piecewise-linear path rather than the delta hash.
-  const auto s0 = idx->stats();
-  EXPECT_GE(s0.rebuilds, 1U);
+// Mean probes per lookup. Linear probing at load a expects
+// (1 + 1/(1-a)) / 2 probes for a hit and (1 + 1/(1-a)^2) / 2 for a miss;
+// the table never exceeds a = 3/4 (used + tombstones), so the means must
+// stay under 2.5 and 8.5 — dense sample ids included, which is what the
+// hash finaliser is for.
+double probes_per_lookup(const SlotIndexStats& before,
+                         const SlotIndexStats& after) {
+  return static_cast<double>(after.probes - before.probes) /
+         static_cast<double>(after.lookups - before.lookups);
+}
+
+TEST(SlotIndex, DenseSortedKeysLookupWithFewProbes) {
+  SlotIndex idx;
+  constexpr data::SampleId kN = 100'000;
+  for (data::SampleId id = 0; id < kN; ++id) idx.put(id, id * 7);
+  const auto s0 = idx.stats();
   std::uint64_t v = 0;
   for (data::SampleId id = 0; id < kN; ++id) {
-    ASSERT_TRUE(idx->find(id, v));
-    ASSERT_EQ(v, id * 7);
+    ASSERT_TRUE(idx.find(id, v));
+    ASSERT_EQ(v, std::uint64_t{id} * 7);
   }
-  const auto s1 = idx->stats();
-  const double probes_per_lookup =
-      static_cast<double>(s1.probes - s0.probes) /
-      static_cast<double>(s1.lookups - s0.lookups);
-  // Bounded-error last-mile search: at most log2(2*eps+1) ~ 6 steps, and
-  // on a perfectly linear space typically far fewer.
-  EXPECT_LE(probes_per_lookup, 8.0);
+  const auto s1 = idx.stats();
+  EXPECT_LE(probes_per_lookup(s0, s1), 2.5);
+  for (data::SampleId id = kN; id < 2 * kN; ++id) {
+    ASSERT_FALSE(idx.find(id, v));
+  }
+  EXPECT_LE(probes_per_lookup(s1, idx.stats()), 8.5);
 }
 
-TEST(LearnedSlotIndex, RebuildsAreAmortised) {
-  auto idx = make_slot_index(SlotIndexKind::kLearned);
-  for (data::SampleId id = 0; id < 200'000; ++id) {
-    idx->put(id * 2, id);  // even ids, ascending
+TEST(SlotIndex, GrowthIsAmortised) {
+  SlotIndex idx;
+  constexpr data::SampleId kN = 200'000;
+  for (data::SampleId id = 0; id < kN; ++id) {
+    idx.put(id * 2, id);  // even ids, ascending
   }
-  const auto s = idx->stats();
-  // Geometric delta growth => O(log n) merges, not O(n).
-  EXPECT_LE(s.rebuilds, 64U);
-  EXPECT_EQ(idx->size(), 200'000U);
+  EXPECT_EQ(idx.size(), std::size_t{kN});
+  // Every rehash at least doubles the table: 16 slots first, and 200k
+  // entries under the 3/4 bound fit in 2^20 — at most 17 rebuilds, not
+  // O(n).
+  EXPECT_LE(idx.stats().rebuilds, 17U);
+  std::uint64_t v = 0;
+  ASSERT_TRUE(idx.find(2 * (kN - 1), v));
+  EXPECT_EQ(v, std::uint64_t{kN} - 1);
+  EXPECT_FALSE(idx.find(3, v));
 }
 
-TEST(ScopedSlotIndexTest, SwitchesAndRestoresProcessDefault) {
-  const auto base = slot_index_kind();
-  {
-    ScopedSlotIndex learned(SlotIndexKind::kLearned);
-    EXPECT_EQ(slot_index_kind(), SlotIndexKind::kLearned);
-    EXPECT_EQ(make_slot_index()->kind(), SlotIndexKind::kLearned);
-    {
-      ScopedSlotIndex hash(SlotIndexKind::kOpenAddressing);
-      EXPECT_EQ(slot_index_kind(), SlotIndexKind::kOpenAddressing);
+TEST(SlotIndex, ClearedTableRefillsWithoutRehashing) {
+  // The stores rebuild their index in place every epoch: clear() keeps
+  // the table, so refilling to the same size never rehashes.
+  SlotIndex idx;
+  for (data::SampleId id = 0; id < 5'000; ++id) idx.put(id, id);
+  const auto warmed = idx.stats().rebuilds;
+  for (int pass = 0; pass < 3; ++pass) {
+    idx.clear();
+    EXPECT_EQ(idx.size(), 0U);
+    for (data::SampleId id = 0; id < 5'000; ++id) {
+      idx.put(id + 10'000U * static_cast<data::SampleId>(pass), id);
     }
-    EXPECT_EQ(slot_index_kind(), SlotIndexKind::kLearned);
+    EXPECT_EQ(idx.size(), 5'000U);
   }
-  EXPECT_EQ(slot_index_kind(), base);
+  EXPECT_EQ(idx.stats().rebuilds, warmed);
 }
 
-TEST(SlotIndexNames, ToStringRoundTrip) {
-  EXPECT_EQ(to_string(SlotIndexKind::kOpenAddressing), "open_addressing");
-  EXPECT_EQ(to_string(SlotIndexKind::kLearned), "learned");
+TEST(SlotIndex, TombstonesCountTowardTheLoadBound) {
+  // Erase/insert churn over a small live set leaves tombstones behind.
+  // put() counts them against the 3/4 load bound and sweeps them on
+  // rehash, so misses keep finding an empty slot quickly instead of
+  // walking a table clogged with dead entries.
+  SlotIndex idx;
+  std::vector<data::SampleId> live;
+  for (data::SampleId id = 0; id < 64; ++id) {
+    idx.put(id, id);
+    live.push_back(id);
+  }
+  std::mt19937 rng(5);
+  data::SampleId next = 64;
+  for (int step = 0; step < 50'000; ++step) {
+    const std::size_t at = rng() % live.size();
+    ASSERT_TRUE(idx.erase(live[at]));
+    live[at] = next++;
+    ASSERT_TRUE(idx.put(live[at], live[at]));
+  }
+  EXPECT_EQ(idx.size(), live.size());
+  EXPECT_GT(idx.stats().rebuilds, 1U);  // tombstone sweeps happened
+  std::uint64_t v = 0;
+  for (const data::SampleId id : live) {
+    ASSERT_TRUE(idx.find(id, v));
+    EXPECT_EQ(v, std::uint64_t{id});
+  }
+  const auto s0 = idx.stats();
+  for (data::SampleId id = 0; id < 10'000; ++id) {
+    ASSERT_FALSE(idx.find(id, v));  // all erased long ago
+  }
+  EXPECT_LE(probes_per_lookup(s0, idx.stats()), 8.5);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // the acceptance gate for the zero-copy path: after warmup (segments
 // mapped, index built, metrics-site statics initialised, scratch sized),
 // a read must hand the payload span to the caller without a single heap
-// allocation, under BOTH slot-index backends.
+// allocation.
 //
 // Same counting-operator-new pattern as test_exchange_alloc.cpp /
 // test_workspace.cpp: this TU replaces global new/delete, warmup runs
@@ -48,11 +48,8 @@ constexpr std::size_t kMeasuredReads = 50'000;
 
 /// Returns the exact number of heap allocations performed by
 /// kMeasuredReads steady-state reads (read() spans + load_into reuse).
-std::uint64_t measure_steady_reads(SlotIndexKind kind, const fs::path& dir) {
-  MmapStoreConfig cfg;
-  cfg.dir = dir;
-  cfg.index_kind = kind;
-  MmapSampleStore store(cfg);
+std::uint64_t measure_steady_reads(const fs::path& dir) {
+  MmapSampleStore store(dir);
 
   std::vector<std::byte> payload(kPayload);
   for (data::SampleId id = 0; id < kSamples; ++id) {
@@ -62,8 +59,8 @@ std::uint64_t measure_steady_reads(SlotIndexKind kind, const fs::path& dir) {
   store.advance_epoch();
 
   // Warmup: touch every id once through both read entry points so
-  // metric-site statics, the learned core (delta merge) and the reused
-  // sink vector reach their steady state.
+  // metric-site statics and the reused sink vector reach their steady
+  // state.
   std::uint64_t checksum = 0;
   std::vector<std::byte> sink;
   sink.reserve(kPayload);
@@ -93,26 +90,14 @@ std::uint64_t measure_steady_reads(SlotIndexKind kind, const fs::path& dir) {
   return after - before;
 }
 
-class StoreAllocTest : public ::testing::TestWithParam<SlotIndexKind> {};
-
-INSTANTIATE_TEST_SUITE_P(Backends, StoreAllocTest,
-                         ::testing::Values(SlotIndexKind::kOpenAddressing,
-                                           SlotIndexKind::kLearned),
-                         [](const auto& info) {
-                           return to_string(info.param);
-                         });
-
-TEST_P(StoreAllocTest, SteadyStateReadsAreAllocationFree) {
+TEST(StoreAllocTest, SteadyStateReadsAreAllocationFree) {
   const fs::path dir =
       fs::temp_directory_path() /
-      ("dshuf_store_alloc_" + std::to_string(::getpid()) + "_" +
-       to_string(GetParam()));
+      ("dshuf_store_alloc_" + std::to_string(::getpid()));
   fs::remove_all(dir);
-  const std::uint64_t allocs = measure_steady_reads(GetParam(), dir);
-  EXPECT_EQ(allocs, 0U)
-      << allocs << " allocations in " << kMeasuredReads
-      << " steady-state reads under the " << to_string(GetParam())
-      << " index";
+  const std::uint64_t allocs = measure_steady_reads(dir);
+  EXPECT_EQ(allocs, 0U) << allocs << " allocations in " << kMeasuredReads
+                        << " steady-state reads";
   fs::remove_all(dir);
 }
 

@@ -1,7 +1,7 @@
 // Randomized differential suite for the two io::SampleStore
 // implementations: FileSampleStore (one file per sample — the simple,
 // debuggable reference) and MmapSampleStore (segment log + epoch
-// reclamation, under both slot-index backends). Identical schedules of
+// reclamation). Identical schedules of
 // save / overwrite / load / remove / list / disk_bytes must produce
 // bit-identical observable state on every arm — including live through a
 // fault-injected PLS exchange with mid-exchange removal
@@ -39,21 +39,16 @@ fs::path fresh_root(const std::string& tag) {
   return root;
 }
 
-/// All interchangeable store arms rooted under `root`: the file store and
-/// the mmap store under each index backend (small segments so schedules
-/// cross segment boundaries and trigger reclamation/compaction).
+/// Both interchangeable store arms rooted under `root`: the file store and
+/// the mmap store (small segments so schedules cross segment boundaries
+/// and trigger reclamation/compaction).
 std::vector<Arm> make_arms(const fs::path& root) {
   std::vector<Arm> arms;
   arms.push_back({"file", std::make_unique<FileSampleStore>(root / "file")});
-  for (const auto kind :
-       {SlotIndexKind::kOpenAddressing, SlotIndexKind::kLearned}) {
-    MmapStoreConfig cfg;
-    cfg.dir = root / ("mmap_" + to_string(kind));
-    cfg.segment_bytes = 4096;
-    cfg.index_kind = kind;
-    arms.push_back(
-        {"mmap_" + to_string(kind), std::make_unique<MmapSampleStore>(cfg)});
-  }
+  MmapStoreConfig cfg;
+  cfg.dir = root / "mmap";
+  cfg.segment_bytes = 4096;
+  arms.push_back({"mmap", std::make_unique<MmapSampleStore>(cfg)});
   return arms;
 }
 

@@ -7,6 +7,8 @@
 
 #include <cstring>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -146,6 +148,51 @@ TEST(VirtualWorld, BitIdenticalShardsWithThreadedWorld) {
   }
 }
 
+// The paper-scale configuration: virtual ranks behind a two-level
+// topology (leader-aggregated uplinks), the exchange planning the grouped
+// Section V-F plan from the shared interned cache. Shards must still be
+// exactly those of the grouped sequential driver.
+TEST(VirtualWorld, GroupedExchangeMatchesGroupedShuffler) {
+  const std::size_t n = 192;
+  const int m = 16;
+  const double q = 0.5;
+  const std::uint64_t seed = 41;
+  const std::size_t epochs = 3;
+  shuffle::Topology topo;
+  topo.groups = 4;
+  topo.group_size = 4;
+  topo.intra_bw_bps = 1e9;
+  topo.inter_bw_bps = 1e8;
+  topo.intra_fraction = 0.5;
+
+  const shuffle::ScopedExchangeTopology scoped(topo);
+  const shuffle::ScopedPlanInterning interning(true);
+  VirtualWorldOptions opts;
+  opts.topology = topo;
+  auto stores = make_stores(n, m, q);
+  VirtualWorld world(m, opts);
+  for (std::size_t e = 0; e < epochs; ++e) {
+    world.run([&](comm::Communicator& c) {
+      auto& store = stores[static_cast<std::size_t>(c.rank())];
+      shuffle::run_pls_exchange_epoch(c, store, seed, e, q,
+                                      n / static_cast<std::size_t>(m));
+      shuffle::post_exchange_local_shuffle(seed, e, c.rank(),
+                                           store.mutable_ids());
+    });
+  }
+
+  shuffle::PartialLocalShuffler pls(
+      make_shards(n, static_cast<std::size_t>(m)), q, seed, true,
+      topo.groups, topo.intra_fraction);
+  for (std::size_t e = 0; e < epochs; ++e) pls.begin_epoch(e);
+  for (int w = 0; w < m; ++w) {
+    EXPECT_EQ(stores[static_cast<std::size_t>(w)].ids(),
+              pls.stores()[static_cast<std::size_t>(w)].ids())
+        << "rank " << w;
+  }
+  EXPECT_GT(world.now_us(), 0U);
+}
+
 // Chaos over the virtual backend: the robust protocol must conserve every
 // sample under drops, duplicates, delays, and stalls — with the schedule
 // served by the virtual world's replay of the same fault oracle.
@@ -192,6 +239,62 @@ TEST(VirtualWorld, RobustExchangeConservesSamplesUnderFaults) {
   // fences wait delays out in virtual time instead.
   EXPECT_EQ(fs.delivered + fs.dropped, fs.submitted + fs.duplicated);
   EXPECT_EQ(fs.flushed, 0U);
+}
+
+// The same chaos drill under the grouped plan and a two-level topology:
+// frames that cross groups go through leader aggregation, and a fault on
+// any of them must still leave every sample on exactly one rank — and
+// replay identically from the same seeds.
+TEST(VirtualWorld, GroupedRobustExchangeConservesAndReplaysUnderFaults) {
+  const std::size_t n = 96;
+  const int m = 12;
+  const double q = 0.5;
+  shuffle::Topology topo;
+  topo.groups = 3;
+  topo.group_size = 4;
+  topo.intra_fraction = 0.5;
+  const shuffle::ScopedExchangeTopology scoped(topo);
+
+  comm::FaultSpec spec;
+  spec.drop_prob = 0.1;
+  spec.dup_prob = 0.05;
+  spec.delay_prob = 0.3;
+  spec.min_delay_us = 100;
+  spec.max_delay_us = 3'000;
+
+  shuffle::ExchangeRobustness robust;
+  robust.ack_timeout = std::chrono::milliseconds(10);
+  robust.max_attempts = 6;
+  robust.recv_deadline = std::chrono::milliseconds(400);
+  robust.poll_interval = std::chrono::microseconds(200);
+
+  const auto run = [&] {
+    auto stores = make_stores(n, m, q);
+    VirtualWorldOptions opts;
+    opts.topology = topo;
+    VirtualWorld world(m, opts);
+    world.set_fault_plan(comm::FaultPlan(99, spec));
+    for (std::size_t e = 0; e < 2; ++e) {
+      world.run([&](comm::Communicator& c) {
+        shuffle::run_pls_exchange_epoch(
+            c, stores[static_cast<std::size_t>(c.rank())], 5, e, q,
+            n / static_cast<std::size_t>(m), nullptr, nullptr, &robust);
+      });
+    }
+    EXPECT_GT(world.fault_stats().dropped, 0U);
+    std::vector<std::vector<SampleId>> out;
+    for (const auto& s : stores) out.push_back(s.ids());
+    return std::make_pair(out, world.now_us());
+  };
+  const auto [shards, end_us] = run();
+  std::multiset<SampleId> all;
+  for (const auto& s : shards) all.insert(s.begin(), s.end());
+  EXPECT_EQ(all.size(), n);
+  EXPECT_EQ(std::set<SampleId>(all.begin(), all.end()).size(), n);
+
+  const auto [again, again_us] = run();
+  EXPECT_EQ(again, shards);
+  EXPECT_EQ(again_us, end_us);
 }
 
 // Same seed, same backend, two worlds: the virtual replay of the fault
