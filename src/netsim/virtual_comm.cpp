@@ -224,6 +224,8 @@ class VirtualWorldState {
   }
 
   void resume(int fi);
+  /// Resume queued fibers until none is runnable.
+  void run_runnable();
   void yield_to_scheduler();
   void abort_world();
 
@@ -435,6 +437,17 @@ void VirtualWorldState::resume(int fi) {
   restore_log_context(sched_log_ctx_);
   obs::Tracer::set_thread_track(sched_track_);
   current_ = -1;
+}
+
+void VirtualWorldState::run_runnable() {
+  while (!run_queue_.empty()) {
+    const int fi = run_queue_.front();
+    run_queue_.pop_front();
+    Fiber& f = fibers_[static_cast<std::size_t>(fi)];
+    f.runnable = false;
+    if (f.done) continue;
+    resume(fi);
+  }
 }
 
 void VirtualWorldState::yield_to_scheduler() {
@@ -868,14 +881,7 @@ void VirtualWorldState::run(
   std::exception_ptr loop_error;
   try {
     for (;;) {
-      while (!run_queue_.empty()) {
-        const int fi = run_queue_.front();
-        run_queue_.pop_front();
-        Fiber& f = fibers_[static_cast<std::size_t>(fi)];
-        f.runnable = false;
-        if (f.done) continue;
-        resume(fi);
-      }
+      run_runnable();
       bool all_done = true;
       for (const Fiber& f : fibers_) {
         if (!f.done) {
@@ -897,6 +903,11 @@ void VirtualWorldState::run(
           blocked << " r" << f.rank << ":"
                   << (f.blocked_reason ? f.blocked_reason : "?");
         }
+        // Unwind the blocked fibers before reporting: each wakes into
+        // block()'s abort check and throws, so its stack (and the requests
+        // it owns) is destroyed rather than dropped.
+        abort_world();
+        run_runnable();
         DSHUF_CHECK(false, "virtual world deadlock — no runnable fiber, no "
                            "pending event, no active flow; blocked:"
                                << blocked.str());
@@ -922,18 +933,21 @@ void VirtualWorldState::run(
       now_us_ - run_start_us_, switches_ - switches_before, flows_admitted_,
       engine_->refill_work()};
 
-  if (loop_error) {
-    fibers_.clear();
-    std::rethrow_exception(loop_error);
-  }
-  for (Fiber& f : fibers_) {
-    if (f.error) {
-      std::exception_ptr e = f.error;
-      fibers_.clear();
-      std::rethrow_exception(e);
-    }
+  std::exception_ptr error = loop_error;
+  for (const Fiber& f : fibers_) {
+    if (error) break;
+    error = f.error;
   }
   fibers_.clear();
+  if (error) {
+    // The aborted run's ranks have unwound; nothing will take what is
+    // left in their mailboxes.
+    for (VMailbox& mb : mailboxes_) {
+      mb.arrived.clear();
+      mb.parked.clear();
+    }
+    std::rethrow_exception(error);
+  }
   check_drained();
 }
 

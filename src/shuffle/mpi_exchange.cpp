@@ -16,13 +16,11 @@ namespace dshuf::shuffle {
 
 namespace {
 
-// Resolve this epoch's plan into s.active. The shape comes from the
-// process-wide topology policy (flat Algorithm-1 permutations when none is
-// set, the grouped hierarchical plan otherwise) and the storage from the
-// interning switch: rebuilt in place in this rank's scratch (the
-// allocation-free steady state) or fetched from the process-wide shared
-// cache (thousand-rank virtual worlds, where per-rank copies of a
-// quota x M table would be O(M^2) memory).
+// Fetch this epoch's plan into s.plan from the process-wide cache, which
+// every rank shares (intern_exchange_plan). The shape comes from the
+// process-wide topology policy: flat Algorithm-1 permutations when none is
+// set, the grouped hierarchical plan otherwise. The previous epoch's plan
+// is dropped first, so its cache slot can be rebuilt in place.
 const ExchangePlan& plan_for_epoch(std::uint64_t seed, std::size_t epoch,
                                    int m, std::size_t quota,
                                    ExchangeScratch& s) {
@@ -39,15 +37,9 @@ const ExchangePlan& plan_for_epoch(std::uint64_t seed, std::size_t epoch,
       spec.intra_fraction = t.intra_fraction;
     }
   }
-  if (plan_interning_enabled()) {
-    s.interned = intern_exchange_plan(spec);
-    s.active = s.interned.get();
-  } else {
-    s.plan.rebuild(spec);
-    s.interned.reset();
-    s.active = &s.plan;
-  }
-  return *s.active;
+  s.plan.reset();
+  s.plan = intern_exchange_plan(spec);
+  return *s.plan;
 }
 
 // Fill one CSR side (peers / off / rounds) from (peer, round) pairs.
@@ -288,10 +280,11 @@ PlsEpochExchange::PlsEpochExchange(comm::Communicator& comm,
   epoch_span_->attr("epoch", std::to_string(epoch))
       .attr("rank", std::to_string(rank_));
 
-  // Every rank recomputes (or fetches — see plan_for_epoch) the identical
-  // plan from the shared seed — Algorithm 1's "all workers use the same
-  // random seed". The scratch (a caller-provided one in the steady state)
-  // reuses last epoch's tables.
+  // Every rank works from the identical plan derived from the shared seed
+  // — Algorithm 1's "all workers use the same random seed" — and the
+  // process builds it once (see plan_for_epoch). The scratch (a
+  // caller-provided one in the steady state) reuses last epoch's routing
+  // tables.
   ExchangeScratch& s = *s_;
   const ExchangePlan& plan = plan_for_epoch(seed, epoch, m_, quota_, s);
   pick_permutation_into(seed, epoch, rank_, store.size(), s.picks);
@@ -531,7 +524,7 @@ void PlsEpochExchange::finish_robust() {
         recv_state_[k].ok ? std::byte{1} : std::byte{0};
   }
   const auto all_bits = comm_.allgather(std::move(received_bits));
-  const ExchangePlan& plan = *s.active;
+  const ExchangePlan& plan = *s.plan;
   for (std::size_t i = 0; i < quota_; ++i) {
     const auto dest = static_cast<std::size_t>(plan.dest(i, rank_));
     DSHUF_CHECK_EQ(all_bits[dest].size(), static_cast<std::size_t>(m_),

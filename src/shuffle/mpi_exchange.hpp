@@ -112,10 +112,11 @@ struct ExchangeOutcome {
 };
 
 /// Reusable per-rank working storage for run_pls_exchange_epoch. Optional:
-/// passing the same instance every epoch lets the exchange reuse the plan
-/// tables, routing lists, and staging cursors, which — together with the
-/// comm buffer pool — is what makes the steady-state fast path
-/// allocation-free (tests/test_exchange_alloc.cpp asserts the zero).
+/// passing the same instance every epoch lets the exchange reuse the
+/// routing lists and staging cursors, which — together with the comm
+/// buffer pool and the plan cache's in-place slot rebuilds — is what makes
+/// the steady-state fast path allocation-free
+/// (tests/test_exchange_alloc.cpp asserts the zero).
 ///
 /// Peer routing is a CSR over the peers that actually exchange traffic
 /// with this rank (at most min(M, quota) of them), NOT dense over all M
@@ -124,9 +125,9 @@ struct ExchangeOutcome {
 /// unrepresentable. All peer-indexed arrays below are indexed by SLOT
 /// (position in send_peers / recv_peers, each sorted ascending by rank).
 struct ExchangeScratch {
-  ExchangePlan plan;  ///< in-place storage (used when interning is off)
-  std::shared_ptr<const ExchangePlan> interned;  ///< shared (interning on)
-  const ExchangePlan* active = nullptr;  ///< the epoch's plan, either way
+  /// The epoch's plan, shared with every other rank of the process
+  /// (intern_exchange_plan); held until the next epoch fetches its own.
+  std::shared_ptr<const ExchangePlan> plan;
   std::vector<std::uint32_t> picks;
   std::vector<SampleId> outgoing;
   std::vector<int> send_peers;  ///< ranks we send a frame to, ascending

@@ -141,8 +141,8 @@ void PartialLocalShuffler::begin_epoch(std::size_t epoch) {
       spec.group_size = spec.workers / groups_;
       spec.intra_fraction = intra_fraction_;
     }
-    plan_ = std::make_unique<ExchangePlan>();
-    plan_->rebuild(spec);
+    plan_.reset();
+    plan_ = intern_exchange_plan(spec);
     if (groups_ > 0) {
       last_intra_fraction_ = plan_->intra_group_fraction(spec.group_size);
     }

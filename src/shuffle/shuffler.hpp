@@ -164,7 +164,7 @@ class PartialLocalShuffler final : public Shuffler {
   Rng base_rng_;
   std::vector<ShardStore> stores_;
   std::vector<std::vector<SampleId>> orders_;
-  std::unique_ptr<ExchangePlan> plan_;
+  std::shared_ptr<const ExchangePlan> plan_;
   ExchangeStats stats_;
   PickPolicy pick_policy_ = PickPolicy::kUniform;
   std::vector<float> scores_;

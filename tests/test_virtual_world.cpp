@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "comm/fault.hpp"
+#include "obs/metrics.hpp"
 #include "shuffle/exchange_plan.hpp"
 #include "shuffle/mpi_exchange.hpp"
 #include "shuffle/shuffler.hpp"
@@ -150,8 +151,8 @@ TEST(VirtualWorld, BitIdenticalShardsWithThreadedWorld) {
 
 // The paper-scale configuration: virtual ranks behind a two-level
 // topology (leader-aggregated uplinks), the exchange planning the grouped
-// Section V-F plan from the shared interned cache. Shards must still be
-// exactly those of the grouped sequential driver.
+// Section V-F plan from the process's shared plan cache. Shards must still
+// be exactly those of the grouped sequential driver.
 TEST(VirtualWorld, GroupedExchangeMatchesGroupedShuffler) {
   const std::size_t n = 192;
   const int m = 16;
@@ -166,7 +167,6 @@ TEST(VirtualWorld, GroupedExchangeMatchesGroupedShuffler) {
   topo.intra_fraction = 0.5;
 
   const shuffle::ScopedExchangeTopology scoped(topo);
-  const shuffle::ScopedPlanInterning interning(true);
   VirtualWorldOptions opts;
   opts.topology = topo;
   auto stores = make_stores(n, m, q);
@@ -191,6 +191,33 @@ TEST(VirtualWorld, GroupedExchangeMatchesGroupedShuffler) {
         << "rank " << w;
   }
   EXPECT_GT(world.now_us(), 0U);
+}
+
+// One plan per epoch per process: however many ranks run an epoch, the
+// plan is built once and every rank shares it.
+TEST(VirtualWorld, RanksShareOnePlanBuildPerEpoch) {
+  const std::size_t n = 64 * 8;
+  const int m = 64;
+  const double q = 0.5;
+  const std::uint64_t seed = 4242;
+  auto stores = make_stores(n, m, q);
+  std::vector<shuffle::ExchangeScratch> scratch(static_cast<std::size_t>(m));
+  obs::Counter& builds =
+      obs::Registry::instance().counter("shuffle.plan_builds");
+  const std::uint64_t before = builds.value();
+  VirtualWorld world(m);
+  for (std::size_t e = 0; e < 3; ++e) {
+    world.run([&](comm::Communicator& c) {
+      const auto r = static_cast<std::size_t>(c.rank());
+      shuffle::run_pls_exchange_epoch(c, stores[r], seed, e, q,
+                                      n / static_cast<std::size_t>(m),
+                                      nullptr, nullptr, nullptr, &scratch[r]);
+    });
+  }
+  EXPECT_EQ(builds.value() - before, 3U);
+  for (std::size_t r = 1; r < scratch.size(); ++r) {
+    EXPECT_EQ(scratch[r].plan, scratch[0].plan) << "rank " << r;
+  }
 }
 
 // Chaos over the virtual backend: the robust protocol must conserve every
@@ -408,6 +435,13 @@ TEST(VirtualWorld, DetectsDeadlockInsteadOfHanging) {
     if (c.rank() == 0) (void)c.recv(1, 9);  // rank 1 never sends
   }),
                CheckError);
+  // The blocked rank was unwound, not abandoned: the world stays usable.
+  int got = 0;
+  world.run([&](comm::Communicator& c) {
+    if (c.rank() == 1) c.send(0, 9, std::vector<std::byte>(1));
+    if (c.rank() == 0) got = static_cast<int>(c.recv(1, 9).payload.size());
+  });
+  EXPECT_EQ(got, 1);
 }
 
 TEST(VirtualWorld, PropagatesRankExceptions) {

@@ -518,8 +518,6 @@ atomics_profiles() {
           {"src/obs/trace.hpp", {"acquire", "release", "relaxed"}},
           {"src/obs/clock.hpp", {"acquire", "release", "acq_rel"}},
           {"src/obs/clock.cpp", {"acquire", "release", "acq_rel"}},
-          // Plan-interning switch: plain published flag.
-          {"src/shuffle/exchange_plan.cpp", {"acquire", "release"}},
           // Epoch pins: CAS-claimed under the store lock, released with a
           // store-release that the reclaim scan acquires.
           {"src/io/mmap_store.cpp", {"acquire", "release", "acq_rel"}},
