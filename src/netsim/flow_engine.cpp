@@ -1,9 +1,11 @@
 #include "netsim/flow_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "util/error.hpp"
+#include "util/noalloc.hpp"
 
 namespace dshuf::netsim {
 
@@ -76,12 +78,71 @@ void FlowEngine::push_prediction(FlowId id) {
   if (f.rate <= 0) return;  // a stall surfaces as next_finish_s() == inf
   const double finish =
       f.remaining <= 0 ? now_s_ : now_s_ + f.remaining / f.rate;
+  // analyze:alloc-ok prediction heap keeps its capacity across refills
   heap_.push_back(HeapEntry{finish, flow_seq_[id], id, f.gen});
   std::push_heap(heap_.begin(), heap_.end());
   f.has_prediction = true;
 }
 
-void FlowEngine::refill_dirty() {
+void FlowEngine::push_share(int l) {
+  LinkRec& rec = links_[static_cast<std::size_t>(l)];
+  rec.share_key = rec.headroom / rec.unfixed;
+  // analyze:alloc-ok share heap keeps its capacity across refills
+  share_heap_.push_back(ShareEntry{rec.share_key, l, rec.share_ver});
+  std::push_heap(share_heap_.begin(), share_heap_.end());
+}
+
+void FlowEngine::join_level(int l, std::uint32_t from_pos) {
+  LinkRec& rec = links_[static_cast<std::size_t>(l)];
+  rec.in_level = true;
+  ++rec.share_ver;  // its heap entries are void until the level ends
+  // analyze:alloc-ok level scratch keeps its capacity across refills
+  level_links_.push_back(l);
+  for (FlowId id : rec.flows) {
+    const FlowRec& f = flows_[id];
+    if (f.live && !f.fixed && f.comp_pos >= from_pos) {
+      const std::size_t w = f.comp_pos / 64;
+      level_bits_[w] |= std::uint64_t{1} << (f.comp_pos % 64);
+      level_lo_ = std::min(level_lo_, w);
+      level_hi_ = std::max(level_hi_, w);
+    }
+  }
+}
+
+bool FlowEngine::fix_if_bottlenecked(std::uint32_t pos, double share,
+                                     double tol) {
+  FlowRec& f = flows_[comp_flows_[pos]];
+  bool at_bottleneck = false;
+  for (int l : f.links) {
+    const LinkRec& rec = links_[static_cast<std::size_t>(l)];
+    if (rec.unfixed > 0 && rec.headroom / rec.unfixed <= tol) {
+      at_bottleneck = true;
+      break;
+    }
+  }
+  if (!at_bottleneck) return false;
+  f.fixed = true;
+  f.rate = share;
+  for (int l : f.links) {
+    LinkRec& rec = links_[static_cast<std::size_t>(l)];
+    rec.headroom -= share;
+    --rec.unfixed;
+    if (rec.in_level || rec.unfixed == 0) continue;
+    const double now_share = rec.headroom / rec.unfixed;
+    if (now_share <= tol) {
+      // Rounded into the tolerance: its flows after this one join the
+      // level, in component order.
+      join_level(l, pos + 1);
+    } else if (now_share < rec.share_key) {
+      // Rounded below its heap key: re-key so the heap stays a lower bound.
+      ++rec.share_ver;
+      push_share(l);
+    }
+  }
+  return true;
+}
+
+DSHUF_NOALLOC void FlowEngine::refill_dirty() {
   if (dirty_links_.empty()) return;
 
   // Component discovery: everything reachable from the dirty links through
@@ -94,6 +155,7 @@ void FlowEngine::refill_dirty() {
     rec.dirty = false;
     if (!rec.in_component) {
       rec.in_component = true;
+      // analyze:alloc-ok component scratch keeps its capacity
       comp_links_.push_back(l);
     }
   }
@@ -104,11 +166,14 @@ void FlowEngine::refill_dirty() {
       FlowRec& f = flows_[id];
       if (!f.live || f.in_component) continue;
       f.in_component = true;
+      f.comp_pos = static_cast<std::uint32_t>(comp_flows_.size());
+      // analyze:alloc-ok component scratch keeps its capacity
       comp_flows_.push_back(id);
       for (int l2 : f.links) {
         LinkRec& rec2 = links_[static_cast<std::size_t>(l2)];
         if (!rec2.in_component) {
           rec2.in_component = true;
+          // analyze:alloc-ok component scratch keeps its capacity
           comp_links_.push_back(l2);
         }
       }
@@ -122,6 +187,7 @@ void FlowEngine::refill_dirty() {
   for (FlowId id : comp_flows_) {
     FlowRec& f = flows_[id];
     settle(f);
+    // analyze:alloc-ok parallel to comp_flows_, capacity retained
     old_rates_.push_back(f.rate);
     f.rate = 0;
     f.fixed = false;
@@ -138,56 +204,80 @@ void FlowEngine::refill_dirty() {
   }
   refill_work_ += comp_flows_.size();
 
-  // Progressive filling, component-scoped. Same bottleneck selection, tie
-  // tolerance, and within-level fixing ORDER as the reference
-  // implementation — but over compacting worklists, so each level costs
-  // the surviving (unfixed) flows and links instead of the whole
-  // component. The compaction is order-stable: dropping fixed entries
-  // in place preserves the reference's flow iteration order, which
-  // matters when a level's fixes pull another link under the tolerance
-  // mid-scan.
-  unfixed_flows_.assign(comp_flows_.begin(), comp_flows_.end());
-  unfixed_links_.assign(comp_links_.begin(), comp_links_.end());
-  while (!unfixed_flows_.empty()) {
+  // Progressive filling, bottleneck-ordered. Each level fixes, at the
+  // component's smallest link share, every flow crossing a link whose
+  // share is within the 1e-12 tie tolerance of it. Bit-identical to
+  // scanning every unfixed flow per level, at the cost of only the
+  // level's own flows:
+  //   * The share heap holds, for every link with unfixed flows outside
+  //     the current level, an entry no larger than its share. Fixing a
+  //     flow at level share s can only raise a link's share (for a link
+  //     at share x >= s, (h - s) / (u - 1) - h / u = (x - s) / (u - 1)),
+  //     so stale entries are refreshed when they surface; only a
+  //     rounding fall pushes a new entry.
+  //   * The level's flows are visited in component order — the order the
+  //     scan used — with the same per-flow check against the CURRENT
+  //     headroom: a fix can lift a tied link out of the tolerance (its
+  //     later flows stay unfixed) or round one into it (its later flows
+  //     join the level).
+  // analyze:alloc-ok level bitset keeps its capacity across refills
+  level_bits_.assign((comp_flows_.size() + 63) / 64, 0);
+  share_heap_.clear();
+  for (int l : comp_links_) {
+    if (links_[static_cast<std::size_t>(l)].unfixed > 0) push_share(l);
+  }
+  std::size_t left = comp_flows_.size();
+  while (left > 0) {
+    // Pop the level's bottlenecks: the smallest current share, then every
+    // link within the tolerance of it. A surfacing entry is dropped when
+    // orphaned or drained, and re-keyed when its link's share has risen.
     double best_share = kInf;
-    std::size_t lw = 0;
-    for (int l : unfixed_links_) {
-      const LinkRec& rec = links_[static_cast<std::size_t>(l)];
-      if (rec.unfixed > 0) {
-        unfixed_links_[lw++] = l;
-        best_share = std::min(best_share, rec.headroom / rec.unfixed);
-      }
-    }
-    unfixed_links_.resize(lw);
-    DSHUF_CHECK(best_share < kInf, "no bottleneck found with flows left");
-    bool fixed_any = false;
-    std::size_t fw = 0;
-    for (FlowId id : unfixed_flows_) {
-      FlowRec& f = flows_[id];
-      bool at_bottleneck = false;
-      for (int l : f.links) {
-        const LinkRec& rec = links_[static_cast<std::size_t>(l)];
-        if (rec.unfixed > 0 &&
-            rec.headroom / rec.unfixed <= best_share * (1 + 1e-12)) {
-          at_bottleneck = true;
-          break;
-        }
-      }
-      if (!at_bottleneck) {
-        unfixed_flows_[fw++] = id;
+    double tol = kInf;
+    level_lo_ = SIZE_MAX;
+    level_hi_ = 0;
+    while (!share_heap_.empty() && share_heap_.front().share <= tol) {
+      const ShareEntry top = share_heap_.front();
+      std::pop_heap(share_heap_.begin(), share_heap_.end());
+      share_heap_.pop_back();
+      const LinkRec& rec = links_[static_cast<std::size_t>(top.link)];
+      if (top.ver != rec.share_ver || rec.unfixed == 0) continue;
+      const double share = rec.headroom / rec.unfixed;
+      const bool bottleneck =
+          best_share == kInf ? share == top.share : share <= tol;
+      if (!bottleneck) {
+        push_share(top.link);
         continue;
       }
-      f.fixed = true;
-      f.rate = best_share;
-      fixed_any = true;
-      for (int l : f.links) {
-        LinkRec& rec = links_[static_cast<std::size_t>(l)];
-        rec.headroom -= best_share;
-        --rec.unfixed;
+      if (best_share == kInf) {
+        best_share = share;
+        tol = best_share * (1 + 1e-12);
+      }
+      join_level(top.link, 0);
+    }
+    DSHUF_CHECK(best_share < kInf, "no bottleneck found with flows left");
+
+    // Visit the marked flows in ascending component position. A mid-level
+    // join marks only positions past the current one, so the word scan
+    // picks them up in order (level_hi_ may grow under it).
+    const std::size_t left_before = left;
+    for (std::size_t w = level_lo_; w <= level_hi_; ++w) {
+      std::uint64_t& word = level_bits_[w];
+      while (word != 0) {
+        const auto bit = static_cast<std::size_t>(std::countr_zero(word));
+        word &= word - 1;
+        if (fix_if_bottlenecked(static_cast<std::uint32_t>(w * 64 + bit),
+                                best_share, tol)) {
+          --left;
+        }
       }
     }
-    unfixed_flows_.resize(fw);
-    DSHUF_CHECK(fixed_any, "progressive filling made no progress");
+    DSHUF_CHECK(left < left_before, "progressive filling made no progress");
+    for (int l : level_links_) {
+      LinkRec& rec = links_[static_cast<std::size_t>(l)];
+      rec.in_level = false;
+      if (rec.unfixed > 0) push_share(l);
+    }
+    level_links_.clear();
   }
 
   for (std::size_t i = 0; i < comp_flows_.size(); ++i) {

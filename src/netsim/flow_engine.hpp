@@ -17,6 +17,13 @@
 //     component provably keep their max-min rates (they share no
 //     constraint with anything that changed), so their predicted finish
 //     times stay valid.
+//   * Progressive filling is bottleneck-ordered: a min-heap of link
+//     shares (headroom / unfixed flows) yields each level's bottleneck
+//     links, and a level visits only those links' unfixed flows, in
+//     component order. A level costs its own flows, not the whole
+//     component's survivors, and every rate is bit-identical to a scan
+//     of all unfixed flows per level (the FlowEngineGolden tests pin the
+//     completion times' bits, ties and rounding cases included).
 //   * Per-link active-flow sets are bucketed (lazily compacted vectors),
 //     so membership updates are O(1) amortised.
 //   * Predicted completions live in a lazily-invalidated heap keyed by
@@ -90,6 +97,7 @@ class FlowEngine {
     bool live = false;
     bool fixed = false;  // refill scratch
     bool in_component = false;
+    std::uint32_t comp_pos = 0;  // index in comp_flows_ (refill scratch)
     bool has_prediction = false;  // a live heap entry exists for gen
   };
 
@@ -111,14 +119,34 @@ class FlowEngine {
     // Refill scratch, valid only inside refill():
     double headroom = 0;
     int unfixed = 0;
+    double share_key = 0;        // share of this link's live heap entry
+    std::uint32_t share_ver = 0;  // bumped to orphan its heap entries
+    bool in_level = false;       // a bottleneck of the current level
     bool in_component = false;
     bool dirty = false;
+  };
+
+  /// Share-heap entry: a lower bound on its link's current share while
+  /// `ver` matches the link's share_ver.
+  struct ShareEntry {
+    double share;
+    int link;
+    std::uint32_t ver;
+    bool operator<(const ShareEntry& o) const { return share > o.share; }
   };
 
   void mark_dirty(const std::vector<int>& links);
   void refill_dirty();
   void settle(FlowRec& f);
   void push_prediction(FlowId id);
+  /// (Re-)key link l's share-heap entry at its current share.
+  void push_share(int l);
+  /// Make l a bottleneck of the current level and mark its unfixed flows
+  /// at component positions >= from_pos for the level's visit.
+  void join_level(int l, std::uint32_t from_pos);
+  /// The level check for the flow at component position `pos`: fix it at
+  /// `share` if any of its links is within `tol`; true if it was fixed.
+  bool fix_if_bottlenecked(std::uint32_t pos, double share, double tol);
   void retire(FlowId id);
 
   std::vector<LinkRec> links_;
@@ -128,10 +156,14 @@ class FlowEngine {
   // Refill scratch (capacity retained across refills).
   std::vector<int> comp_links_;
   std::vector<FlowId> comp_flows_;
-  std::vector<FlowId> bfs_stack_;
-  std::vector<double> old_rates_;     // parallel to comp_flows_
-  std::vector<FlowId> unfixed_flows_; // filling worklist (order-stable)
-  std::vector<int> unfixed_links_;    // links with unfixed > 0
+  std::vector<double> old_rates_;        // parallel to comp_flows_
+  std::vector<ShareEntry> share_heap_;   // min-heap of link shares
+  std::vector<int> level_links_;         // this level's bottlenecks
+  // One bit per component position: this level's flows to visit, and
+  // the word range [level_lo_, level_hi_] holding them.
+  std::vector<std::uint64_t> level_bits_;
+  std::size_t level_lo_ = 0;
+  std::size_t level_hi_ = 0;
   std::vector<HeapEntry> heap_;
   double now_s_ = 0;
   std::size_t live_ = 0;

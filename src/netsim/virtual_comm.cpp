@@ -21,6 +21,7 @@
 #endif
 
 #ifdef DSHUF_ASAN_FIBERS
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 
@@ -60,7 +61,7 @@ struct VirtualRequestState;
 /// than the OS thread all fibers share.
 struct Fiber {
   ucontext_t ctx{};
-  std::unique_ptr<char[]> stack;
+  char* stack = nullptr;  // one of the world's fiber_stacks_
   std::size_t stack_size = 0;
   int rank = -1;
   bool done = false;
@@ -258,6 +259,10 @@ class VirtualWorldState {
 
   // Scheduler.
   std::vector<Fiber> fibers_;
+  // One stack per rank, allocated by the first run() and reused by every
+  // later one: never value-initialised, so a run touches (and makes
+  // resident) only the stack depth its ranks actually use.
+  std::vector<std::unique_ptr<char[]>> fiber_stacks_;
   std::deque<int> run_queue_;
   int current_ = -1;  // fiber index executing right now; -1 = scheduler
   ucontext_t sched_ctx_{};
@@ -426,7 +431,7 @@ void VirtualWorldState::resume(int fi) {
   obs::Tracer::set_thread_track(f.trace_track);
 #ifdef DSHUF_ASAN_FIBERS
   void* sched_fake = nullptr;
-  __sanitizer_start_switch_fiber(&sched_fake, f.stack.get(), f.stack_size);
+  __sanitizer_start_switch_fiber(&sched_fake, f.stack, f.stack_size);
 #endif
   swapcontext(&sched_ctx_, &f.ctx);
 #ifdef DSHUF_ASAN_FIBERS
@@ -860,13 +865,24 @@ void VirtualWorldState::run(
   fibers_.clear();
   fibers_.resize(static_cast<std::size_t>(size_));
   run_queue_.clear();
+  if (fiber_stacks_.empty()) {
+    fiber_stacks_.resize(static_cast<std::size_t>(size_));
+    for (auto& stack : fiber_stacks_) {
+      stack = std::make_unique_for_overwrite<char[]>(opts_.fiber_stack_bytes);
+    }
+  }
   for (int r = 0; r < size_; ++r) {
     Fiber& f = fibers_[static_cast<std::size_t>(r)];
     f.rank = r;
     f.stack_size = opts_.fiber_stack_bytes;
-    f.stack = std::make_unique<char[]>(f.stack_size);
+    f.stack = fiber_stacks_[static_cast<std::size_t>(r)].get();
+#ifdef DSHUF_ASAN_FIBERS
+    // A previous run's frames may have left redzones poisoned on this
+    // stack; the new fiber starts from a clean slate.
+    ASAN_UNPOISON_MEMORY_REGION(f.stack, f.stack_size);
+#endif
     DSHUF_CHECK(getcontext(&f.ctx) == 0, "getcontext failed");
-    f.ctx.uc_stack.ss_sp = f.stack.get();
+    f.ctx.uc_stack.ss_sp = f.stack;
     f.ctx.uc_stack.ss_size = f.stack_size;
     f.ctx.uc_link = nullptr;  // fibers exit via an explicit final yield
     makecontext(&f.ctx, reinterpret_cast<void (*)()>(dshuf_fiber_trampoline),

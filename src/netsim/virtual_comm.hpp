@@ -61,8 +61,10 @@ struct VirtualWorldOptions {
   /// fabric pool and latency still apply).
   LinkCaps caps{};
   std::optional<shuffle::Topology> topology;
-  /// Stack bytes per fiber (heap-allocated). The exchange needs a few KiB;
-  /// the default leaves generous headroom for logging and spans.
+  /// Stack bytes per fiber. The exchange needs a few KiB; the default
+  /// leaves generous headroom for logging and spans. Stacks are allocated
+  /// once per world, by its first run(), left uninitialised (only the
+  /// pages a rank touches become resident) and reused by every run.
   std::size_t fiber_stack_bytes = 256 * 1024;
   /// Completion-event granularity, virtual microseconds. 1 (the default)
   /// delivers each flow at its exact (us-rounded) finish with per-batch

@@ -461,6 +461,42 @@ TEST(VirtualWorld, PropagatesRankExceptions) {
   EXPECT_EQ(ok, 1);
 }
 
+// Fiber stacks are allocated by the first run and reused, uninitialised,
+// by every later one. A body that touches 32 KiB of its stack must see
+// the same results every time (under ASan this also covers unpoisoning
+// the previous run's frames before a stack is reused).
+TEST(VirtualWorld, ReusesFiberStacksAcrossRuns) {
+  constexpr int kRanks = 8;
+  VirtualWorld world(kRanks);
+  auto body_result = [&] {
+    std::vector<std::uint64_t> got(kRanks, 0);
+    world.run([&](comm::Communicator& c) {
+      volatile unsigned char scratch[32 * 1024];
+      for (std::size_t i = 0; i < sizeof scratch; ++i) {
+        scratch[i] = static_cast<unsigned char>(i * 31 + c.rank());
+      }
+      std::uint64_t sum = 0;
+      for (std::size_t i = 0; i < sizeof scratch; i += 7) sum += scratch[i];
+      std::vector<std::byte> payload(sizeof sum);
+      std::memcpy(payload.data(), &sum, sizeof sum);
+      c.send((c.rank() + 1) % kRanks, 3, std::move(payload));
+      const comm::Message m = c.recv((c.rank() + kRanks - 1) % kRanks, 3);
+      std::uint64_t from_prev = 0;
+      std::memcpy(&from_prev, m.payload.data(), sizeof from_prev);
+      got[static_cast<std::size_t>(c.rank())] = from_prev;
+    });
+    const VirtualWorld::RunStats st = world.last_run_stats();
+    got.push_back(st.virtual_makespan_us);
+    got.push_back(st.context_switches);
+    got.push_back(st.flows);
+    return got;
+  };
+  const auto first = body_result();
+  EXPECT_NE(first[0], 0U);
+  EXPECT_EQ(body_result(), first);
+  EXPECT_EQ(body_result(), first);
+}
+
 TEST(VirtualWorld, ChecksMailboxesDrainedBetweenRuns) {
   VirtualWorld world(2);
   EXPECT_THROW(world.run([](comm::Communicator& c) {
