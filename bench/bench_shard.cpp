@@ -11,15 +11,21 @@
 //
 // Per arm and size it measures insert / lookup (load_into, the PayloadFn
 // shape) / sequential scan (read() spans) / remove throughput plus the
-// resident and live-payload footprints. This TU replaces global operator
-// new with a counting wrapper so the lookup column also reports exact heap
+// resident and live-payload footprints. The mmap arm also runs a rewrite
+// row on a fresh store: repeated full-rewrite epochs (save n new ids,
+// remove the previous n, advance_epoch — a Q = 1 reshuffle's store
+// traffic), reporting steady-state save throughput and segment files
+// created per steady-state epoch. This TU replaces global operator new
+// with a counting wrapper so the lookup column also reports exact heap
 // allocations per op — the mmap arm must show 0 in steady state. --out
-// writes BENCH_shard.json (schema dshuf.bench_shard.v2); --check re-reads
+// writes BENCH_shard.json (schema dshuf.bench_shard.v3); --check re-reads
 // a written file and enforces the acceptance floor — the mmap arm must
-// load >= 10x faster than FileSampleStore at the largest recorded size —
-// which is the CI perf-smoke gate. Absolute throughput on shared
-// runners is informational; the ratio is the contract (and on a real PFS
-// the per-file metadata latency only widens it).
+// load >= 10x faster than FileSampleStore at the largest recorded size,
+// where its rewrite epochs must also create no segment files once warm
+// (dead segments are recycled) — which is the CI perf-smoke gate. Absolute
+// throughput on shared runners is informational; the ratio is the
+// contract (and on a real PFS the per-file metadata latency only widens
+// it).
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -34,6 +40,7 @@
 
 #include "io/file_store.hpp"
 #include "io/mmap_store.hpp"
+#include "obs/metrics.hpp"
 #include "util/argparse.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -67,6 +74,8 @@ constexpr std::size_t kLookupOps = 100'000;   // sampled, multiplicative hash
 constexpr std::size_t kScanOpsCap = 200'000;  // sequential id prefix
 constexpr std::size_t kRemoveOpsCap = 50'000;
 constexpr std::size_t kWarmupOps = 2'000;
+constexpr std::size_t kRewriteWarmupEpochs = 4;
+constexpr std::size_t kRewriteEpochs = 6;
 
 struct ArmResult {
   std::string arm;
@@ -79,6 +88,8 @@ struct ArmResult {
   std::size_t resident_bytes = 0;  // mapped footprint (file arm: disk)
   std::size_t disk_bytes = 0;      // live payload bytes
   double load_ratio_vs_file = 0.0;  // filled for the mmap arm
+  double rewrite_save_sps = 0.0;    // mmap arm: steady-state rewrite saves
+  double rewrite_files_created_per_epoch = 0.0;  // mmap arm
 };
 
 void fill_payload(data::SampleId id, std::vector<std::byte>& buf) {
@@ -163,13 +174,52 @@ ArmResult run_file_arm(const fs::path& dir, std::size_t n) {
   return res;
 }
 
+/// Full-rewrite epochs on a fresh store: each epoch saves n ids, removes
+/// the previous epoch's n and advances the epoch. The first
+/// kRewriteWarmupEpochs fill the segment pool; the rest are measured.
+void run_rewrite(const fs::path& dir, std::size_t n, ArmResult& res) {
+  io::MmapSampleStore store(dir);
+  const obs::Counter& created =
+      obs::Registry::instance().counter("store.segments_created");
+  std::vector<std::byte> buf;
+  buf.reserve(kPayloadBytes);
+  double save_s = 0.0;
+  std::uint64_t created_before = 0;
+  for (std::size_t e = 0; e < kRewriteWarmupEpochs + kRewriteEpochs; ++e) {
+    if (e == kRewriteWarmupEpochs) created_before = created.value();
+    const std::size_t first = (e % 2) * n;  // ids alternate between halves
+    Stopwatch sw;
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto id = static_cast<data::SampleId>(first + i);
+      fill_payload(id, buf);
+      store.save(id, buf);
+    }
+    if (e >= kRewriteWarmupEpochs) save_s += sw.seconds();
+    if (e > 0) {
+      const std::size_t prev = n - first;
+      for (std::size_t i = 0; i < n; ++i) {
+        store.remove(static_cast<data::SampleId>(prev + i));
+      }
+    }
+    store.advance_epoch();
+  }
+  res.rewrite_save_sps = static_cast<double>(n * kRewriteEpochs) / save_s;
+  res.rewrite_files_created_per_epoch =
+      static_cast<double>(created.value() - created_before) /
+      static_cast<double>(kRewriteEpochs);
+}
+
 ArmResult run_mmap_arm(const fs::path& dir, std::size_t n) {
   ArmResult res;
   res.arm = "mmap";
-  io::MmapSampleStore store(dir);
-  run_workload(store, n, res);
-  store.advance_epoch();  // retire the removed slots' quarantine
-  res.resident_bytes = store.resident_bytes();
+  {
+    io::MmapSampleStore store(dir);
+    run_workload(store, n, res);
+    store.advance_epoch();  // retire the removed slots' quarantine
+    res.resident_bytes = store.resident_bytes();
+  }
+  fs::remove_all(dir);
+  run_rewrite(dir, n, res);
   return res;
 }
 
@@ -186,7 +236,7 @@ int run_check(const std::string& path) {
   std::stringstream buf;
   buf << in.rdbuf();
   const json::Value doc = json::parse(buf.str());
-  DSHUF_CHECK_EQ(doc.at("schema").as_string(), "dshuf.bench_shard.v2",
+  DSHUF_CHECK_EQ(doc.at("schema").as_string(), "dshuf.bench_shard.v3",
                  "unexpected schema in " << path);
   const auto& sizes = doc.at("sizes").as_array();
   DSHUF_CHECK(!sizes.empty(), "no sizes recorded in " << path);
@@ -196,11 +246,17 @@ int run_check(const std::string& path) {
     for (const auto& a : s.at("arms").as_array()) {
       DSHUF_CHECK_GT(a.at("insert_sps").as_number(), 0.0, "bad insert_sps");
       DSHUF_CHECK_GT(a.at("lookup_sps").as_number(), 0.0, "bad lookup_sps");
+      if (a.at("arm").as_string() == "file") continue;
+      DSHUF_CHECK_GT(a.at("rewrite_save_sps").as_number(), 0.0,
+                     "bad rewrite_save_sps");
     }
   }
   // The acceptance floor: at the largest recorded shard size, the mmap
-  // arm must load >= 10x faster than the per-file baseline, and its
-  // steady-state lookups must be allocation-free.
+  // arm must load >= 10x faster than the per-file baseline, its
+  // steady-state lookups must be allocation-free, and once warm its
+  // full-rewrite epochs must run entirely on recycled segments. (At
+  // 10^4 samples an epoch rewrites a third of one segment, too little
+  // to keep a spare for.)
   const auto& largest = sizes.back();
   for (const auto& a : largest.at("arms").as_array()) {
     if (a.at("arm").as_string() == "file") continue;
@@ -209,9 +265,14 @@ int run_check(const std::string& path) {
                                 << " lost its load-throughput win");
     DSHUF_CHECK_EQ(a.at("lookup_allocs_per_op").as_number(), 0.0,
                    a.at("arm").as_string() << " lookups allocate");
+    DSHUF_CHECK_EQ(a.at("rewrite_files_created_per_epoch").as_number(), 0.0,
+                   a.at("arm").as_string()
+                       << " creates segment files in steady-state rewrite "
+                          "epochs");
   }
   std::cout << "bench_shard: " << path << " OK (load ratio >= 10x at n="
-            << largest.at("n").as_number() << ")\n";
+            << largest.at("n").as_number()
+            << ", 0 files created per steady-state rewrite epoch there)\n";
   return 0;
 }
 
@@ -257,7 +318,10 @@ int main(int argc, char** argv) {
                 << fmt(a.remove_sps) << "/s, resident " << a.resident_bytes
                 << " B, live " << a.disk_bytes << " B";
       if (a.arm != "file") {
-        std::cout << ", load ratio " << fmt(a.load_ratio_vs_file) << "x";
+        std::cout << ", load ratio " << fmt(a.load_ratio_vs_file)
+                  << "x, rewrite save " << fmt(a.rewrite_save_sps) << "/s ("
+                  << fmt(a.rewrite_files_created_per_epoch)
+                  << " files created/epoch)";
       }
       std::cout << "\n";
     }
@@ -268,11 +332,13 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get("out");
   if (!out_path.empty()) {
     std::ostringstream j;
-    j << "{\n  \"schema\": \"dshuf.bench_shard.v2\",\n"
+    j << "{\n  \"schema\": \"dshuf.bench_shard.v3\",\n"
       << "  \"config\": {\"payload_bytes\": " << kPayloadBytes
       << ", \"lookup_ops\": " << kLookupOps
       << ", \"scan_ops_cap\": " << kScanOpsCap
       << ", \"remove_ops_cap\": " << kRemoveOpsCap
+      << ", \"rewrite_warmup_epochs\": " << kRewriteWarmupEpochs
+      << ", \"rewrite_epochs\": " << kRewriteEpochs
       << ", \"quick\": " << (quick ? "true" : "false")
       << "},\n  \"sizes\": [\n";
     for (std::size_t s = 0; s < results.size(); ++s) {
@@ -288,7 +354,10 @@ int main(int argc, char** argv) {
           << ", \"resident_bytes\": " << a.resident_bytes
           << ", \"disk_bytes\": " << a.disk_bytes
           << ", \"load_ratio_vs_file\": " << fmt(a.load_ratio_vs_file)
-          << "}" << (i + 1 < results[s].size() ? "," : "") << "\n";
+          << ", \"rewrite_save_sps\": " << fmt(a.rewrite_save_sps)
+          << ", \"rewrite_files_created_per_epoch\": "
+          << fmt(a.rewrite_files_created_per_epoch) << "}"
+          << (i + 1 < results[s].size() ? "," : "") << "\n";
       }
       j << "    ]}" << (s + 1 < results.size() ? "," : "") << "\n";
     }

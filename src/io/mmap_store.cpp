@@ -20,8 +20,8 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Record header: [u32 enc][u32 id]. enc = 0 is the zero-filled
-// end-of-segment sentinel, 0xFFFFFFFF a tombstone, len+1 a live record.
+// Record header: [u32 enc][u32 id]. enc = 0 ends the segment's log,
+// 0xFFFFFFFF is a tombstone, len+1 a live record.
 constexpr std::size_t kHeaderBytes = 8;
 constexpr std::uint32_t kTombstone = 0xFFFFFFFFu;
 constexpr std::uint32_t kMaxPayload = 0xFFFFFFFDu;
@@ -32,6 +32,7 @@ constexpr std::uint32_t kMaxPayload = 0xFFFFFFFDu;
 constexpr unsigned kRefOffsetBits = 40;
 constexpr std::uint64_t kRefOffsetMask =
     (std::uint64_t{1} << kRefOffsetBits) - 1;
+constexpr std::size_t kMaxSegments = std::size_t{1} << (64 - kRefOffsetBits);
 
 std::uint64_t pack_ref(std::size_t seg, std::size_t off) {
   return (static_cast<std::uint64_t>(seg) << kRefOffsetBits) |
@@ -51,10 +52,20 @@ std::uint32_t load_u32(const std::byte* p) {
 }
 void store_u32(std::byte* p, std::uint32_t v) { std::memcpy(p, &v, sizeof(v)); }
 
-std::size_t page_size() {
+/// Publishes the record of `need` bytes at `rec` (id and payload already
+/// written), `room` bytes before the segment's end. The end marker goes
+/// down first and the length word last: a torn append, and the stale tail
+/// of a recycled segment, both replay as the end of the log.
+void publish(std::byte* rec, std::size_t need, std::size_t room,
+             std::uint32_t enc) {
+  if (need + kHeaderBytes <= room) std::memset(rec + need, 0, kHeaderBytes);
+  store_u32(rec, enc);
+}
+
+std::size_t page_round(std::size_t n) {
   static const std::size_t pg =
       static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  return pg;
+  return (n + pg - 1) / pg * pg;
 }
 
 std::string segment_name(std::size_t seq) {
@@ -63,7 +74,8 @@ std::string segment_name(std::size_t seq) {
   return buf;
 }
 
-/// Parse "seg<8 digits>.dshuf" -> seq; SIZE_MAX for foreign files.
+/// Parse "seg<8 digits>.dshuf" -> seq; SIZE_MAX for foreign files and for
+/// sequences a slot ref cannot address.
 std::size_t parse_segment_name(const std::string& name) {
   if (name.size() != 3 + 8 + 6 || name.rfind("seg", 0) != 0 ||
       name.compare(11, 6, ".dshuf") != 0) {
@@ -75,12 +87,13 @@ std::size_t parse_segment_name(const std::string& name) {
     if (c < '0' || c > '9') return SIZE_MAX;
     seq = seq * 10 + static_cast<std::size_t>(c - '0');
   }
-  return seq;
+  return seq < kMaxSegments ? seq : SIZE_MAX;
 }
 
 }  // namespace
 
-MmapSampleStore::MmapSampleStore(MmapStoreConfig cfg) : cfg_(std::move(cfg)) {
+MmapSampleStore::MmapSampleStore(MmapStoreConfig cfg)
+    : cfg_(std::move(cfg)), seg_len_(page_round(cfg_.segment_bytes)) {
   DSHUF_CHECK_GE(cfg_.segment_bytes, kHeaderBytes + 1,
                  "segment_bytes too small to hold a record");
   fs::create_directories(cfg_.dir);
@@ -101,6 +114,11 @@ MmapSampleStore::~MmapSampleStore() {
       seg.base = nullptr;
     }
   }
+  for (const Spare& spare : spares_) ::munmap(spare.base, seg_len_);
+}
+
+fs::path MmapSampleStore::segment_path(std::size_t seq) const {
+  return cfg_.dir / segment_name(seq);
 }
 
 void MmapSampleStore::open_existing_locked() {
@@ -119,7 +137,8 @@ void MmapSampleStore::open_existing_locked() {
   }
   if (found.empty()) return;
   std::sort(found.begin(), found.end());
-  segs_.resize(found.back().first + 1);
+  seq_base_ = found.front().first;
+  segs_.resize(found.back().first - seq_base_ + 1);
 
   for (const auto& [seq, path] : found) {
     // analyze:blocking-ok one-time mmap replay at store open
@@ -128,21 +147,28 @@ void MmapSampleStore::open_existing_locked() {
     struct stat st {};
     DSHUF_CHECK_EQ(::fstat(fd, &st), 0, "mmap_store: fstat " << path);
     const auto len = static_cast<std::size_t>(st.st_size);
+    if (len == 0) {
+      // A crash between creating a segment file and sizing it leaves an
+      // empty file: no records, and nothing mmap can map.
+      ::close(fd);
+      std::error_code ec;
+      fs::remove(path, ec);
+      continue;
+    }
     void* base =
         ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
     ::close(fd);
     DSHUF_CHECK(base != MAP_FAILED, "mmap_store: mmap " << path);
-    Segment& seg = segs_[seq];
+    Segment& seg = seg_at(seq);
     seg.base = static_cast<std::byte*>(base);
     seg.map_len = len;
-    seg.path = path;
     seg.sealed = true;  // reopened segments are never appended to
 
     // Replay records into the index (later records overwrite earlier).
     std::size_t off = 0;
     while (off + kHeaderBytes <= len) {
       const std::uint32_t enc = load_u32(seg.base + off);
-      if (enc == 0) break;  // zero-filled tail
+      if (enc == 0) break;  // end of the log
       const auto id =
           static_cast<data::SampleId>(load_u32(seg.base + off + 4));
       if (enc == kTombstone) {
@@ -164,7 +190,7 @@ void MmapSampleStore::open_existing_locked() {
   // so compaction sees it immediately.
   live_bytes_ = 0;
   index_.for_each([this](data::SampleId, std::uint64_t ref) {
-    Segment& seg = segs_[ref_seg(ref)];
+    Segment& seg = seg_at(ref_seg(ref));
     const std::size_t plen = load_u32(seg.base + ref_off(ref)) - 1;
     seg.live_records += 1;
     seg.live_payload += plen;
@@ -172,69 +198,90 @@ void MmapSampleStore::open_existing_locked() {
   });
   // Fully dead reopened segments can be freed right away: no reader can
   // hold a pin before the constructor returns. Ascending order matters:
-  // once an earlier segment's file is gone, tombstones masking it in a
+  // once an earlier segment's file is emptied, tombstones masking it in a
   // later segment are no longer needed and can be dropped instead of
   // re-logged. Freeing may re-log still-needed tombstones into a fresh
   // active segment — snapshot the count and skip the active so the
   // re-log target is not itself swept.
+  while (first_mapped_ < segs_.size() &&
+         segs_[first_mapped_].base == nullptr) {
+    ++first_mapped_;
+  }
   const std::size_t n = segs_.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (i != active_ && segs_[i].base != nullptr &&
+    const std::size_t seq = seq_base_ + i;
+    if (seq != active_ && segs_[i].base != nullptr &&
         segs_[i].live_records == 0) {
-      free_segment_locked(i);
+      free_segment_locked(seq);
     }
   }
+  trim_locked();
 }
 
 MmapSampleStore::Segment& MmapSampleStore::new_segment_locked(
     std::size_t min_payload_bytes) {
-  std::size_t want = kHeaderBytes + min_payload_bytes;
-  std::size_t len = std::max(cfg_.segment_bytes, want);
-  const std::size_t pg = page_size();
-  len = (len + pg - 1) / pg * pg;
-
-  const std::size_t seq = segs_.size();
-  const fs::path path = cfg_.dir / segment_name(seq);
-  // analyze:blocking-ok segment creation is a rare, amortised event
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  DSHUF_CHECK_GE(fd, 0, "mmap_store: cannot create " << path);
-  DSHUF_CHECK_EQ(::ftruncate(fd, static_cast<off_t>(len)), 0,
-                 "mmap_store: ftruncate " << path);
-  void* base = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
-  ::close(fd);
-  DSHUF_CHECK(base != MAP_FAILED, "mmap_store: mmap " << path);
-
-  if (active_ != SIZE_MAX) segs_[active_].sealed = true;
-  // analyze:alloc-ok segment bookkeeping grows once per segment file
+  const std::size_t seq = seq_base_ + segs_.size();
+  // Slot refs keep 24 bits of segment sequence: wrapping would silently
+  // alias a new segment onto an old one.
+  DSHUF_CHECK_LT(seq, kMaxSegments,
+                 "mmap_store: segment sequence exhausted in " << cfg_.dir);
+  const std::size_t want = kHeaderBytes + min_payload_bytes;
   Segment seg;
-  seg.base = static_cast<std::byte*>(base);
-  seg.map_len = len;
-  seg.path = path;
-  segs_.push_back(std::move(seg));
+  if (want <= seg_len_ && !spares_.empty()) {
+    // The spare's first header was zeroed when it died, so the file
+    // replays as empty under its old name and its new one alike.
+    const Spare spare = spares_.back();
+    // analyze:blocking-ok rename of a recycled segment, once per segment
+    DSHUF_CHECK_EQ(::rename(segment_path(spare.seq).c_str(),
+                            segment_path(seq).c_str()),
+                   0, "mmap_store: cannot recycle segment " << spare.seq);
+    spares_.pop_back();
+    seg.base = spare.base;
+    seg.map_len = seg_len_;
+    DSHUF_COUNTER("store.segments_recycled").add(1);
+  } else {
+    const std::size_t len = std::max(seg_len_, page_round(want));
+    const fs::path path = segment_path(seq);
+    // analyze:blocking-ok segment creation is a rare, amortised event
+    const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+    DSHUF_CHECK_GE(fd, 0, "mmap_store: cannot create " << path);
+    DSHUF_CHECK_EQ(::ftruncate(fd, static_cast<off_t>(len)), 0,
+                   "mmap_store: ftruncate " << path);
+    void* base =
+        ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+    ::close(fd);
+    DSHUF_CHECK(base != MAP_FAILED, "mmap_store: mmap " << path);
+    seg.base = static_cast<std::byte*>(base);
+    seg.map_len = len;
+    DSHUF_COUNTER("store.segments_created").add(1);
+  }
+
+  if (active_ != SIZE_MAX) seg_at(active_).sealed = true;
+  // analyze:alloc-ok segment bookkeeping grows once per segment
+  segs_.push_back(seg);
   active_ = seq;
-  DSHUF_COUNTER("store.segments_created").add(1);
-  return segs_[active_];
+  return segs_.back();
 }
 
 std::uint64_t MmapSampleStore::append_locked(
     data::SampleId id, std::span<const std::byte> payload) {
   DSHUF_CHECK_LE(payload.size(), kMaxPayload, "mmap_store: payload too large");
   const std::size_t need = kHeaderBytes + payload.size();
-  if (active_ == SIZE_MAX || segs_[active_].bump + need >
-                                 segs_[active_].map_len) {
+  if (active_ == SIZE_MAX ||
+      seg_at(active_).bump + need > seg_at(active_).map_len) {
     new_segment_locked(payload.size());
   }
-  Segment& seg = segs_[active_];
+  Segment& seg = seg_at(active_);
   const std::size_t off = seg.bump;
   std::byte* rec = seg.base + off;
   store_u32(rec + 4, static_cast<std::uint32_t>(id));
   if (!payload.empty()) {
     std::memcpy(rec + kHeaderBytes, payload.data(), payload.size());
   }
-  // Length goes last: a crash mid-append leaves enc == 0 and the partial
-  // record reads as end-of-segment on replay.
-  store_u32(rec, static_cast<std::uint32_t>(payload.size()) + 1);
+  publish(rec, need, seg.map_len - off,
+          static_cast<std::uint32_t>(payload.size()) + 1);
   seg.bump += need;
+  appended_bytes_ += need;
   seg.live_records += 1;
   seg.live_payload += payload.size();
   return pack_ref(active_, off);
@@ -242,18 +289,19 @@ std::uint64_t MmapSampleStore::append_locked(
 
 void MmapSampleStore::append_tombstone_locked(data::SampleId id) {
   if (active_ == SIZE_MAX ||
-      segs_[active_].bump + kHeaderBytes > segs_[active_].map_len) {
+      seg_at(active_).bump + kHeaderBytes > seg_at(active_).map_len) {
     new_segment_locked(0);
   }
-  Segment& act = segs_[active_];
+  Segment& act = seg_at(active_);
   std::byte* rec = act.base + act.bump;
   store_u32(rec + 4, static_cast<std::uint32_t>(id));
-  store_u32(rec, kTombstone);
+  publish(rec, kHeaderBytes, act.map_len - act.bump, kTombstone);
   act.bump += kHeaderBytes;
+  appended_bytes_ += kHeaderBytes;
 }
 
 void MmapSampleStore::quarantine_locked(std::uint64_t ref, std::uint32_t len) {
-  Segment& seg = segs_[ref_seg(ref)];
+  Segment& seg = seg_at(ref_seg(ref));
   seg.live_records -= 1;
   seg.live_payload -= len;
   seg.quarantined_records += 1;
@@ -268,7 +316,8 @@ void MmapSampleStore::save(data::SampleId id,
   std::uint64_t old_ref = 0;
   const bool had = index_.find(id, old_ref);
   const std::size_t old_len =
-      had ? load_u32(segs_[ref_seg(old_ref)].base + ref_off(old_ref)) - 1 : 0;
+      had ? load_u32(seg_at(ref_seg(old_ref)).base + ref_off(old_ref)) - 1
+          : 0;
   if (cfg_.capacity_bytes != 0) {
     // Byte-exact (1+Q)*N/M bound on LIVE payload: an overwrite only
     // charges the delta, exactly like FileSampleStore's directory.
@@ -286,7 +335,7 @@ void MmapSampleStore::save(data::SampleId id,
 
 std::span<const std::byte> MmapSampleStore::payload_at(
     std::uint64_t ref) const {
-  const Segment& seg = segs_[ref_seg(ref)];
+  const Segment& seg = seg_at(ref_seg(ref));
   const std::byte* rec = seg.base + ref_off(ref);
   const std::uint32_t enc = load_u32(rec);
   return {rec + kHeaderBytes, enc - 1};
@@ -343,7 +392,7 @@ void MmapSampleStore::remove(data::SampleId id) {
               "remove: sample " << id << " not stored");
   index_.erase(id);
   const std::uint32_t len =
-      load_u32(segs_[ref_seg(ref)].base + ref_off(ref)) - 1;
+      load_u32(seg_at(ref_seg(ref)).base + ref_off(ref)) - 1;
   // The record's bytes stay untouched (a pinned reader may still be on
   // them); a tombstone appended to the active segment makes the removal
   // durable across reopen.
@@ -388,26 +437,19 @@ std::uint64_t MmapSampleStore::min_pinned_locked() const {
   return min;
 }
 
-void MmapSampleStore::free_segment_locked(std::size_t seg_idx) {
+void MmapSampleStore::free_segment_locked(std::size_t seq) {
   // A tombstone in this segment may be the only thing masking an older
   // record for the same id in an earlier, still-retained segment file:
-  // unlinking the file as-is would resurrect that record (or a stale
+  // emptying the file as-is would resurrect that record (or a stale
   // overwritten payload) on the next reopen/replay. Re-log such
   // tombstones into the active segment first. Ids the index still holds
   // need no mask — their latest record replays after anything it
   // shadows, so sequence order already wins; and with no earlier
-  // retained segment there is nothing left to mask.
-  bool earlier_retained = false;
-  for (std::size_t j = 0; j < seg_idx; ++j) {
-    if (segs_[j].base != nullptr) {
-      earlier_retained = true;
-      break;
-    }
-  }
-  if (earlier_retained) {
+  // retained segment there is nothing left to mask (spares replay empty).
+  if (first_mapped_ < seq - seq_base_) {
     // append_tombstone_locked may grow segs_; walk via stable copies.
-    std::byte* const base = segs_[seg_idx].base;
-    const std::size_t bump = segs_[seg_idx].bump;
+    std::byte* const base = seg_at(seq).base;
+    const std::size_t bump = seg_at(seq).bump;
     std::size_t off = 0;
     while (off + kHeaderBytes <= bump) {
       const std::uint32_t enc = load_u32(base + off);
@@ -422,19 +464,56 @@ void MmapSampleStore::free_segment_locked(std::size_t seg_idx) {
       }
     }
   }
-  Segment& seg = segs_[seg_idx];  // re-fetched: the re-log may grow segs_
-  ::munmap(seg.base, seg.map_len);
-  seg.base = nullptr;
+  Segment& seg = seg_at(seq);  // re-fetched: the re-log may grow segs_
+  if (seg.map_len == seg_len_) {
+    // Only after the re-log: from here on the file replays as empty.
+    std::memset(seg.base, 0, kHeaderBytes);
+    // analyze:alloc-ok the spare list reuses its buffer across epochs
+    spares_.push_back({seg.base, seq});
+  } else {
+    unlink_segment_locked(seg.base, seg.map_len, seq);
+  }
+  seg = Segment{};
+  if (active_ == seq) active_ = SIZE_MAX;
+  while (first_mapped_ < segs_.size() &&
+         segs_[first_mapped_].base == nullptr) {
+    ++first_mapped_;
+  }
+}
+
+void MmapSampleStore::unlink_segment_locked(std::byte* base, std::size_t len,
+                                            std::size_t seq) {
+  ::munmap(base, len);
+  const fs::path path = segment_path(seq);
   // analyze:blocking-ok unlink of a dead segment file is rare + amortised
   std::error_code ec;
-  fs::remove(seg.path, ec);
+  fs::remove(path, ec);
   if (ec) {
-    LOG_WARN << "mmap_store: cannot unlink " << seg.path;
+    LOG_WARN << "mmap_store: cannot unlink " << path;
   }
-  seg.map_len = 0;
-  seg.bump = 0;
-  if (active_ == seg_idx) active_ = SIZE_MAX;
   DSHUF_COUNTER("store.segments_freed").add(1);
+}
+
+void MmapSampleStore::trim_locked() {
+  // A spare pays off only if the coming epoch writes into it. The epoch
+  // just closed predicts that demand and the live payload bounds what a
+  // rewrite of the store can need; twice the smaller covers a full
+  // reshuffle, whose peak holds every sample twice. A store that empties,
+  // or rewrites less than half a segment per epoch, keeps no spare.
+  const std::size_t keep =
+      2 * std::min(live_bytes_, appended_bytes_) / seg_len_;
+  appended_bytes_ = 0;
+  while (spares_.size() > keep) {
+    const Spare spare = spares_.back();
+    spares_.pop_back();
+    unlink_segment_locked(spare.base, seg_len_, spare.seq);
+  }
+  if (first_mapped_ > 0) {
+    segs_.erase(segs_.begin(),
+                segs_.begin() + static_cast<std::ptrdiff_t>(first_mapped_));
+    seq_base_ += first_mapped_;
+    first_mapped_ = 0;
+  }
 }
 
 void MmapSampleStore::reclaim_locked() {
@@ -445,7 +524,7 @@ void MmapSampleStore::reclaim_locked() {
     // A pin taken in epoch E can only hold spans live (or quarantined)
     // at E; retiring strictly-older quarantine entries is safe.
     if (q.retire_epoch >= min_pin) break;
-    Segment& seg = segs_[ref_seg(q.ref)];
+    Segment& seg = seg_at(ref_seg(q.ref));
     seg.quarantined_records -= 1;
     quarantined_bytes_ -= q.len;
     ++quarantine_head_;
@@ -462,16 +541,18 @@ void MmapSampleStore::reclaim_locked() {
   // process exit. No pin can point into a candidate: pinning requires a
   // live record at pin time, and its later quarantine entry cannot
   // retire while the pin is held. Ascending order lets a later
-  // segment's tombstones drop once everything they mask is unlinked;
+  // segment's tombstones drop once everything they mask is emptied;
   // free_segment_locked may re-log tombstones and grow segs_, so probe
   // by index against a snapshot of the count.
   const std::size_t n = segs_.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i != active_ && segs_[i].base != nullptr && segs_[i].sealed &&
-        segs_[i].live_records == 0 && segs_[i].quarantined_records == 0) {
-      free_segment_locked(i);
+  for (std::size_t i = first_mapped_; i < n; ++i) {
+    const Segment& seg = segs_[i];
+    if (seq_base_ + i != active_ && seg.base != nullptr && seg.sealed &&
+        seg.live_records == 0 && seg.quarantined_records == 0) {
+      free_segment_locked(seq_base_ + i);
     }
   }
+  trim_locked();
   if (retired > 0) DSHUF_COUNTER("store.reclaims").add(retired);
 }
 
@@ -480,9 +561,10 @@ void MmapSampleStore::compact_locked() {
   // quarantine the originals: the same retire machinery then frees the
   // file once in-flight readers drain.
   const std::size_t n = segs_.size();  // new segments are not candidates
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = first_mapped_; i < n; ++i) {
+    const std::size_t seq = seq_base_ + i;
     Segment& seg = segs_[i];
-    if (seg.base == nullptr || !seg.sealed || i == active_) continue;
+    if (seg.base == nullptr || !seg.sealed || seq == active_) continue;
     if (seg.live_records == 0) continue;
     if (static_cast<double>(seg.live_payload) >=
         cfg_.compact_live_fraction * static_cast<double>(seg.bump)) {
@@ -505,12 +587,12 @@ void MmapSampleStore::compact_locked() {
       std::uint64_t cur = 0;
       // Only records the index still points at are live; stale extents
       // (overwritten or removed) are already in quarantine.
-      if (index_.find(id, cur) && cur == pack_ref(i, off)) {
+      if (index_.find(id, cur) && cur == pack_ref(seq, off)) {
         const std::span<const std::byte> payload{base + off + kHeaderBytes,
                                                  plen};
         const std::uint64_t moved = append_locked(id, payload);
         index_.put(id, moved);
-        quarantine_locked(pack_ref(i, off),
+        quarantine_locked(pack_ref(seq, off),
                           static_cast<std::uint32_t>(plen));
       }
       off += kHeaderBytes + plen;
@@ -528,26 +610,30 @@ std::uint64_t MmapSampleStore::advance_epoch() {
   return epoch_;
 }
 
-void MmapSampleStore::reclaim() {
-  std::lock_guard<RankedMutex> lk(mu_);
-  reclaim_locked();
-  update_gauges_locked();
+std::size_t MmapSampleStore::resident_bytes_locked() const {
+  std::size_t total = spares_.size() * seg_len_;
+  for (std::size_t i = first_mapped_; i < segs_.size(); ++i) {
+    total += segs_[i].map_len;  // 0 once freed or recycled
+  }
+  return total;
+}
+
+std::size_t MmapSampleStore::segment_count_locked() const {
+  std::size_t n = 0;
+  for (std::size_t i = first_mapped_; i < segs_.size(); ++i) {
+    if (segs_[i].base != nullptr) ++n;
+  }
+  return n;
 }
 
 void MmapSampleStore::update_gauges_locked() const {
-  std::size_t resident = 0;
-  std::size_t mapped = 0;
-  for (const auto& seg : segs_) {
-    if (seg.base != nullptr) {
-      resident += seg.map_len;
-      ++mapped;
-    }
-  }
-  DSHUF_GAUGE("store.resident_bytes").set(static_cast<std::int64_t>(resident));
+  DSHUF_GAUGE("store.resident_bytes")
+      .set(static_cast<std::int64_t>(resident_bytes_locked()));
   DSHUF_GAUGE("store.live_bytes").set(static_cast<std::int64_t>(live_bytes_));
   DSHUF_GAUGE("store.quarantine_bytes")
       .set(static_cast<std::int64_t>(quarantined_bytes_));
-  DSHUF_GAUGE("store.segments").set(static_cast<std::int64_t>(mapped));
+  DSHUF_GAUGE("store.segments")
+      .set(static_cast<std::int64_t>(segment_count_locked()));
   const std::uint64_t lag =
       quarantine_head_ < quarantine_.size()
           ? epoch_ - quarantine_[quarantine_head_].retire_epoch
@@ -557,11 +643,7 @@ void MmapSampleStore::update_gauges_locked() const {
 
 std::size_t MmapSampleStore::resident_bytes() const {
   std::lock_guard<RankedMutex> lk(mu_);
-  std::size_t total = 0;
-  for (const auto& seg : segs_) {
-    if (seg.base != nullptr) total += seg.map_len;
-  }
-  return total;
+  return resident_bytes_locked();
 }
 
 std::size_t MmapSampleStore::quarantined_bytes() const {
@@ -583,11 +665,7 @@ std::uint64_t MmapSampleStore::reclaim_lag() const {
 
 std::size_t MmapSampleStore::segment_count() const {
   std::lock_guard<RankedMutex> lk(mu_);
-  std::size_t n = 0;
-  for (const auto& seg : segs_) {
-    if (seg.base != nullptr) ++n;
-  }
-  return n;
+  return segment_count_locked();
 }
 
 SlotIndexStats MmapSampleStore::index_stats() const {

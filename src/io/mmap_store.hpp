@@ -22,27 +22,43 @@
 //     whose tag is strictly below the minimum pinned epoch: no reader
 //     that could still hold the span survives, so the bytes are dead;
 //   * a sealed segment whose records have all died (including segments
-//     holding only tombstones) is unmapped and its file deleted; a sealed
-//     segment whose live fraction drops under the compaction threshold
-//     has its survivors copied to the active segment (index re-pointed,
-//     old extents quarantined) so the file can be freed on a later epoch;
-//   * before a segment file is unlinked, any tombstone it holds for an id
-//     still absent from the index is RE-LOGGED into the active segment
-//     while an earlier segment file survives on disk — otherwise the next
-//     reopen would replay the earlier segment's record unmasked and
-//     resurrect a removed sample.
+//     holding only tombstones) is RECYCLED: its first record header is
+//     zeroed, so the file replays as empty, and its mapping joins a spare
+//     list. The next new segment takes a spare and renames the file to the
+//     next sequence name — no create/ftruncate/mmap and no first-touch
+//     page faults, which is most of a full-reshuffle epoch's store cost.
+//     Each advance_epoch keeps spare bytes up to twice the smaller of the
+//     live payload and the log bytes appended since the previous advance
+//     (a full reshuffle holds every sample twice at its peak; a store
+//     that empties or barely writes keeps none). Dead segments past that
+//     bound, and oversized dedicated segments, are unmapped and their
+//     files deleted;
+//   * a sealed segment whose live fraction drops under the compaction
+//     threshold has its survivors copied to the active segment (index
+//     re-pointed, old extents quarantined) so the file can be freed on a
+//     later epoch;
+//   * before a dead segment is recycled or deleted, any tombstone it holds
+//     for an id still absent from the index is RE-LOGGED into the active
+//     segment while an earlier segment file survives on disk — otherwise
+//     the next reopen would replay the earlier segment's record unmasked
+//     and resurrect a removed sample.
 //
 // On-disk format (per segment file, replayed on reopen in segment order):
 //   record   := [u32 enc][u32 id][payload]
-//   enc      := 0            end of segment (zero-filled tail)
+//   enc      := 0            end of the segment's log
 //             | 0xFFFFFFFF   tombstone for id (remove survives reopen)
 //             | len + 1      live record of len payload bytes
+// The log ends at the FIRST zero header, not at a zero-filled tail: a
+// recycled file keeps its previous life's bytes past the end. Every append
+// therefore zeroes the header just past itself before it publishes its own
+// enc, so neither a torn append nor a stale tail can ever replay.
 //
 // disk_bytes() reports LIVE payload bytes only — byte-identical to
 // FileSampleStore over any schedule (the differential suite asserts it),
 // so the paper's (1+Q)*N/M capacity bound is enforced byte-exactly via
 // capacity_bytes. resident_bytes() additionally counts mapped framing,
-// dead and quarantined space — the operational footprint.
+// dead and quarantined space and the spare segments — the operational
+// footprint.
 #pragma once
 
 #include <array>
@@ -132,13 +148,10 @@ class MmapSampleStore final : public SampleStore {
   /// have been dropped). Returns the new epoch number.
   std::uint64_t advance_epoch();
 
-  /// Retire whatever is already safe without advancing the epoch.
-  void reclaim();
-
   // ---------------------------------------------------- introspection --
 
-  /// Bytes currently mapped (live + dead + quarantined + unused tail) —
-  /// the store's operational memory/disk footprint.
+  /// Bytes currently mapped (live + dead + quarantined + unused tail +
+  /// spare segments) — the store's operational memory/disk footprint.
   [[nodiscard]] std::size_t resident_bytes() const;
   /// Payload bytes removed but not yet retired (reclaim backlog).
   [[nodiscard]] std::size_t quarantined_bytes() const;
@@ -146,7 +159,7 @@ class MmapSampleStore final : public SampleStore {
   [[nodiscard]] std::uint64_t epoch() const;
   /// Epochs the oldest quarantined slot has been waiting (0 = none).
   [[nodiscard]] std::uint64_t reclaim_lag() const;
-  /// Mapped segment files.
+  /// Segment files in use (spares excluded).
   [[nodiscard]] std::size_t segment_count() const;
   [[nodiscard]] SlotIndexStats index_stats() const;
   [[nodiscard]] const std::filesystem::path& dir() const { return cfg_.dir; }
@@ -155,14 +168,19 @@ class MmapSampleStore final : public SampleStore {
 
  private:
   struct Segment {
-    std::byte* base = nullptr;  // nullptr once freed
+    std::byte* base = nullptr;  // nullptr once freed or recycled
     std::size_t map_len = 0;
     std::size_t bump = 0;
     std::size_t live_records = 0;
     std::size_t live_payload = 0;
     std::size_t quarantined_records = 0;
     bool sealed = false;
-    std::filesystem::path path;
+  };
+  /// A dead standard-size segment kept mapped for reuse; its file is still
+  /// named after `seq` and replays as empty.
+  struct Spare {
+    std::byte* base = nullptr;
+    std::size_t seq = 0;
   };
   struct Quarantined {
     std::uint64_t ref = 0;
@@ -171,6 +189,11 @@ class MmapSampleStore final : public SampleStore {
   };
 
   void open_existing_locked();
+  [[nodiscard]] std::filesystem::path segment_path(std::size_t seq) const;
+  Segment& seg_at(std::size_t seq) { return segs_[seq - seq_base_]; }
+  [[nodiscard]] const Segment& seg_at(std::size_t seq) const {
+    return segs_[seq - seq_base_];
+  }
   Segment& new_segment_locked(std::size_t min_payload_bytes);
   /// Append a record; returns its packed ref. Lock held.
   std::uint64_t append_locked(data::SampleId id,
@@ -180,18 +203,33 @@ class MmapSampleStore final : public SampleStore {
   void quarantine_locked(std::uint64_t ref, std::uint32_t len);
   void reclaim_locked();
   void compact_locked();
-  void free_segment_locked(std::size_t seg_idx);
+  /// Retire a dead segment: recycle it onto the spare list, or delete an
+  /// oversized one.
+  void free_segment_locked(std::size_t seq);
+  void unlink_segment_locked(std::byte* base, std::size_t len,
+                             std::size_t seq);
+  /// Delete spares past the bound and drop the unmapped prefix of segs_.
+  void trim_locked();
+  [[nodiscard]] std::size_t resident_bytes_locked() const;
+  [[nodiscard]] std::size_t segment_count_locked() const;
   void update_gauges_locked() const;
   [[nodiscard]] std::uint64_t min_pinned_locked() const;
   [[nodiscard]] std::span<const std::byte> payload_at(std::uint64_t ref) const;
 
   MmapStoreConfig cfg_;
+  std::size_t seg_len_;  // page-rounded cfg_.segment_bytes
+  /// Segments seq_base_ .. seq_base_ + segs_.size() - 1; trim_locked drops
+  /// the unmapped prefix, so scans start at the oldest file still in use.
   std::vector<Segment> segs_;
-  std::size_t active_ = SIZE_MAX;  // index into segs_, SIZE_MAX = none
+  std::size_t seq_base_ = 0;
+  std::size_t first_mapped_ = 0;  // index of the first mapped entry of segs_
+  std::vector<Spare> spares_;
+  std::size_t active_ = SIZE_MAX;  // segment seq, SIZE_MAX = none
   SlotIndex index_;
   std::vector<Quarantined> quarantine_;  // FIFO; head_ is the pop cursor
   std::size_t quarantine_head_ = 0;
   std::size_t live_bytes_ = 0;
+  std::size_t appended_bytes_ = 0;  // log bytes appended since trim_locked
   std::size_t quarantined_bytes_ = 0;
   std::uint64_t epoch_ = 1;
   /// Pin slots: 0 = free, otherwise the pinned epoch. Claimed under mu_,

@@ -2,7 +2,8 @@
 // round-trips, segment rollover, the byte-exact capacity bound, epoch-
 // based reclamation (pins block retirement; advance_epoch frees dead
 // segments), compaction of cold segments, crash-style reopen/replay of
-// the segment log, index lookups across interleaved removals, and a TSan
+// the segment log, steady-state recycling of dead segments, the segment
+// sequence limit, index lookups across interleaved removals, and a TSan
 // storm of concurrent pinned readers against a mutating writer.
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "io/mmap_store.hpp"
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace dshuf::io {
@@ -380,6 +382,93 @@ TEST_F(MmapStoreTest, ReopenIgnoresForeignFiles) {
   MmapSampleStore reopened(dir_);
   EXPECT_EQ(reopened.size(), 1U);
   EXPECT_TRUE(reopened.contains(1));
+}
+
+// The Q = 1 store pattern: every epoch saves a whole new shard, removes
+// the previous one and advances. Once warm, every new segment is a
+// recycled spare: no file is created, the directory holds exactly the
+// files the footprint reports, and spare bytes stay within twice the
+// live payload.
+TEST_F(MmapStoreTest, SteadyStateRewriteRecyclesSegments) {
+  MmapStoreConfig cfg;
+  cfg.dir = dir_;
+  cfg.segment_bytes = 4096;
+  MmapSampleStore store(cfg);
+  auto& reg = obs::Registry::instance();
+  const obs::Counter& created = reg.counter("store.segments_created");
+  const obs::Counter& recycled = reg.counter("store.segments_recycled");
+  const obs::Gauge& resident_gauge = reg.gauge("store.resident_bytes");
+  constexpr data::SampleId kN = 400;
+  constexpr std::uint32_t kWarmup = 4;
+  constexpr std::uint32_t kEpochs = 16;
+  // Epoch-salted payloads: a stale record from an earlier life of a
+  // recycled segment can never pass for the current one.
+  auto payload = [](data::SampleId id, std::uint32_t epoch) {
+    return payload_for(id + 7'919 * epoch, 64, 128);
+  };
+  std::uint64_t created_warm = 0;
+  std::uint64_t recycled_warm = 0;
+  for (std::uint32_t e = 0; e < kWarmup + kEpochs; ++e) {
+    if (e == kWarmup) {
+      created_warm = created.value();
+      recycled_warm = recycled.value();
+    }
+    const data::SampleId first = (e % 2) * kN;
+    for (data::SampleId id = first; id < first + kN; ++id) {
+      store.save(id, payload(id, e));
+    }
+    if (e > 0) {
+      const data::SampleId prev = kN - first;
+      for (data::SampleId id = prev; id < prev + kN; ++id) store.remove(id);
+    }
+    store.advance_epoch();
+    if (e < kWarmup) continue;
+
+    ASSERT_EQ(store.size(), kN) << "epoch " << e;
+    for (data::SampleId id = first; id < first + kN; ++id) {
+      std::vector<std::byte> out;
+      store.load_into(id, out);
+      ASSERT_EQ(out, payload(id, e)) << "epoch " << e << " id " << id;
+    }
+    std::size_t files = 0;
+    std::size_t file_bytes = 0;
+    for (const auto& f : fs::directory_iterator(dir_)) {
+      ++files;
+      file_bytes += f.file_size();
+    }
+    // Every file on disk is mapped, spares included, and is counted.
+    EXPECT_EQ(file_bytes, store.resident_bytes()) << "epoch " << e;
+    EXPECT_EQ(resident_gauge.value(),
+              static_cast<std::int64_t>(store.resident_bytes()));
+    const std::size_t spares = files - store.segment_count();
+    EXPECT_LE(spares * 4096, 2 * store.disk_bytes()) << "epoch " << e;
+  }
+  EXPECT_EQ(created.value(), created_warm) << "steady state created files";
+  EXPECT_GE(recycled.value() - recycled_warm, kEpochs);
+}
+
+// Slot refs keep 24 bits of segment sequence. A store whose log reached
+// the last addressable sequence must refuse a new segment loudly instead
+// of wrapping its refs onto segment 0.
+TEST_F(MmapStoreTest, SegmentSequenceExhaustionFailsLoudly) {
+  MmapStoreConfig cfg;
+  cfg.dir = dir_;
+  cfg.segment_bytes = 4096;
+  {
+    MmapSampleStore store(cfg);
+    store.save(1, payload_for(1));
+  }
+  fs::rename(dir_ / "seg00000000.dshuf", dir_ / "seg16777215.dshuf");
+  {
+    std::ofstream beyond(dir_ / "seg16777216.dshuf");  // not addressable
+    beyond << "not a segment";
+  }
+  MmapSampleStore store(cfg);
+  EXPECT_EQ(store.size(), 1U);
+  EXPECT_THROW(store.save(2, payload_for(2)), CheckError);
+  std::vector<std::byte> out;
+  store.load_into(1, out);
+  EXPECT_EQ(out, payload_for(1));
 }
 
 TEST_F(MmapStoreTest, InterleavedRemovesKeepSurvivorsReadable) {

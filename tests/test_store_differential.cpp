@@ -6,10 +6,16 @@
 // bit-identical observable state on every arm — including live through a
 // fault-injected PLS exchange with mid-exchange removal
 // (clean_local_storage while retried/duplicated frames are in flight).
+// The file arm is also the reference for the mmap store's crash images:
+// copies of its directory taken after every operation, and cut at every
+// record boundary of the log's unfinished epoch, must reopen to the
+// reference state.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -18,6 +24,7 @@
 #include "chaos_harness.hpp"
 #include "io/file_store.hpp"
 #include "io/mmap_store.hpp"
+#include "obs/metrics.hpp"
 #include "shuffle/store_hooks.hpp"
 #include "util/error.hpp"
 
@@ -76,24 +83,26 @@ Snapshot snapshot(const SampleStore& store) {
   return s;
 }
 
+void expect_same_state(const Snapshot& got, const Snapshot& ref,
+                       const std::string& context) {
+  EXPECT_EQ(got.ids, ref.ids) << context;
+  EXPECT_EQ(got.disk_bytes, ref.disk_bytes) << context << " disk_bytes";
+  EXPECT_EQ(got.size, ref.size) << context;
+  ASSERT_EQ(got.payloads.size(), ref.payloads.size()) << context;
+  for (const auto& [id, p] : ref.payloads) {
+    const auto it = got.payloads.find(id);
+    ASSERT_NE(it, got.payloads.end()) << context << ": id " << id;
+    EXPECT_EQ(it->second, p) << context << ": payload of id " << id;
+  }
+}
+
 void expect_arms_identical(const std::vector<Arm>& arms,
                            const std::string& context) {
   ASSERT_GE(arms.size(), 2U);
   const Snapshot ref = snapshot(*arms[0].store);
   for (std::size_t a = 1; a < arms.size(); ++a) {
-    const Snapshot got = snapshot(*arms[a].store);
-    EXPECT_EQ(got.ids, ref.ids)
-        << context << ": " << arms[a].name << " vs " << arms[0].name;
-    EXPECT_EQ(got.disk_bytes, ref.disk_bytes)
-        << context << ": " << arms[a].name << " disk_bytes";
-    EXPECT_EQ(got.size, ref.size) << context << ": " << arms[a].name;
-    ASSERT_EQ(got.payloads.size(), ref.payloads.size()) << context;
-    for (const auto& [id, p] : ref.payloads) {
-      const auto it = got.payloads.find(id);
-      ASSERT_NE(it, got.payloads.end()) << context << ": id " << id;
-      EXPECT_EQ(it->second, p)
-          << context << ": " << arms[a].name << " payload of id " << id;
-    }
+    expect_same_state(snapshot(*arms[a].store), ref,
+                      context + ": " + arms[a].name + " vs " + arms[0].name);
   }
 }
 
@@ -324,6 +333,180 @@ TEST(StoreDifferential, ChaosExchangeWithMidEpochRemovalMatches) {
     }
   }
   fs::remove_all(root);
+}
+
+// ------------------------------------------------------ crash images ---
+
+/// The mmap arm's segment files, by sequence number.
+std::map<std::size_t, fs::path> segment_files(const fs::path& dir) {
+  std::map<std::size_t, fs::path> files;
+  for (const auto& e : fs::directory_iterator(dir)) {
+    const std::string name = e.path().filename();
+    files.emplace(std::stoul(name.substr(3, 8)), e.path());
+  }
+  return files;
+}
+
+/// Where each record of a segment file's log ends, in order, up to the
+/// first zero header (the on-disk format in io/mmap_store.hpp).
+std::vector<std::size_t> record_ends(const fs::path& file) {
+  std::ifstream in(file, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  std::vector<std::size_t> ends;
+  std::size_t off = 0;
+  while (off + 8 <= bytes.size()) {
+    std::uint32_t enc = 0;
+    std::memcpy(&enc, bytes.data() + off, sizeof(enc));
+    if (enc == 0) break;
+    off += 8 + (enc == 0xFFFFFFFFU ? 0 : enc - 1);
+    ends.push_back(off);
+  }
+  return ends;
+}
+
+/// Reopen a crash image of the mmap arm and snapshot it.
+Snapshot reopen_image(const fs::path& image) {
+  MmapStoreConfig cfg;
+  cfg.dir = image;
+  cfg.segment_bytes = 4096;
+  const MmapSampleStore store(cfg);
+  return snapshot(store);
+}
+
+/// Seeded save / overwrite / remove / advance_epoch schedule over both
+/// arms. Payloads of 1..400 bytes (a few oversized) in 4 KiB segments, so
+/// segments die, are recycled and compacted within a few epochs. `after`
+/// runs after every operation with the operation's kind.
+enum class Op { kSave, kRemove, kAdvance };
+template <typename After>
+void run_crash_schedule(std::uint64_t seed, std::vector<Arm>& arms,
+                        After&& after) {
+  std::mt19937_64 rng(seed);
+  std::vector<data::SampleId> live;
+  for (int op = 0; op < 400; ++op) {
+    const auto roll = rng() % 100;
+    if (roll < 55 || live.empty()) {
+      const auto id = static_cast<data::SampleId>(rng() % 64);
+      const std::size_t len = rng() % 50 == 0 ? 5'000 : 1 + rng() % 400;
+      std::vector<std::byte> p(len);
+      for (auto& b : p) b = static_cast<std::byte>(rng() & 0xFF);
+      bool existed = false;
+      for (auto& a : arms) {
+        existed = a.store->contains(id);
+        a.store->save(id, p);
+      }
+      if (!existed) live.push_back(id);
+      after(Op::kSave);
+    } else if (roll < 85) {
+      const std::size_t j = rng() % live.size();
+      for (auto& a : arms) a.store->remove(live[j]);
+      live[j] = live.back();
+      live.pop_back();
+      after(Op::kRemove);
+    } else {
+      for (auto& a : arms) {
+        if (auto* ms = dynamic_cast<MmapSampleStore*>(a.store.get())) {
+          ms->advance_epoch();
+        }
+      }
+      after(Op::kAdvance);
+    }
+  }
+}
+
+// A killed process leaves exactly the MAP_SHARED bytes it wrote, so a
+// plain copy of the store directory is a crash image. After every
+// operation — including advance_epoch, which recycles dead segments that
+// still hold their previous life's records past the new end of log — the
+// image must reopen to the reference arm's state.
+TEST(StoreDifferential, CrashImagesReopenToTheReferenceState) {
+  const obs::Counter& recycled =
+      obs::Registry::instance().counter("store.segments_recycled");
+  const std::uint64_t recycled_before = recycled.value();
+  for (const std::uint64_t seed : {5ULL, 77ULL}) {
+    const fs::path root = fresh_root("crash" + std::to_string(seed));
+    const fs::path image = root / "image";
+    auto arms = make_arms(root);
+    int op = 0;
+    run_crash_schedule(seed, arms, [&](Op) {
+      fs::remove_all(image);
+      fs::copy(root / "mmap", image);
+      expect_same_state(reopen_image(image), snapshot(*arms[0].store),
+                        "seed " + std::to_string(seed) + " op " +
+                            std::to_string(op++));
+    });
+    arms.clear();
+    fs::remove_all(root);
+  }
+  EXPECT_GT(recycled.value(), recycled_before) << "no segment was recycled";
+}
+
+// Between two advance_epoch calls every save or remove appends exactly one
+// record to the newest segment, so a crash mid-append loses a suffix of
+// the records written since the last advance. Cut the crash image at
+// every record boundary of that suffix — truncate the segment the cut
+// falls in, drop the newer files — and it must reopen to the reference
+// state after the matching prefix of operations: no removed or
+// overwritten id comes back, and nothing later leaks in.
+TEST(StoreDifferential, TornLogSuffixesReopenToAHistoryPrefix) {
+  for (const std::uint64_t seed : {5ULL, 77ULL}) {
+    const fs::path root = fresh_root("torn" + std::to_string(seed));
+    const fs::path image = root / "image";
+    auto arms = make_arms(root);
+    // Reference states since the last advance; the log position then.
+    std::vector<Snapshot> history{snapshot(*arms[0].store)};
+    std::size_t mark_seq = 0;
+    std::size_t mark_off = 0;
+    int epoch = 0;
+
+    auto check_cuts = [&] {
+      const auto files = segment_files(root / "mmap");
+      std::size_t records = 0;  // appended since the mark, before the cut
+      for (auto it = files.lower_bound(mark_seq); it != files.end(); ++it) {
+        const std::size_t start = it->first == mark_seq ? mark_off : 0;
+        std::vector<std::size_t> cuts{start};
+        for (const std::size_t end : record_ends(it->second)) {
+          if (end > start) cuts.push_back(end);
+        }
+        for (std::size_t c = 0; c < cuts.size(); ++c) {
+          if (c > 0) ++records;
+          fs::remove_all(image);
+          fs::copy(root / "mmap", image);
+          fs::resize_file(image / it->second.filename(), cuts[c]);
+          for (auto newer = std::next(it); newer != files.end(); ++newer) {
+            fs::remove(image / newer->second.filename());
+          }
+          ASSERT_LT(records, history.size());
+          expect_same_state(reopen_image(image), history[records],
+                            "seed " + std::to_string(seed) + " epoch " +
+                                std::to_string(epoch) + " after " +
+                                std::to_string(records) + " records");
+        }
+      }
+      EXPECT_EQ(records + 1, history.size()) << "one record per operation";
+    };
+
+    run_crash_schedule(seed, arms, [&](Op kind) {
+      if (kind != Op::kAdvance) {
+        history.push_back(snapshot(*arms[0].store));
+        check_cuts();
+        return;
+      }
+      // advance_epoch rewrites several files at once: start a new suffix
+      // at the newest segment's end of log.
+      ++epoch;
+      history.assign(1, snapshot(*arms[0].store));
+      const auto files = segment_files(root / "mmap");
+      mark_seq = files.empty() ? 0 : files.rbegin()->first;
+      const auto ends =
+          files.empty() ? std::vector<std::size_t>{}
+                        : record_ends(files.rbegin()->second);
+      mark_off = ends.empty() ? 0 : ends.back();
+    });
+    arms.clear();
+    fs::remove_all(root);
+  }
 }
 
 }  // namespace
