@@ -1,9 +1,10 @@
 // Google-benchmark microbenchmarks for the core primitives: exchange-plan
 // construction, full partial-local epochs, global permutation dealing,
-// GEMM and Conv1d under both kernel backends, and one simulated training
-// iteration (MLP and CNN). The *Ref variants pin the retained naive
-// kernels so blocked-vs-reference speedups can be read off one run;
-// tools/dshuf_bench records the same comparison as JSON.
+// GEMM and Conv1d on the blocked kernels, and one simulated training
+// iteration (MLP and CNN). The *Ref variants call the retained naive
+// kernels (tensor/kernel_ref.hpp) directly on the same operands, so
+// blocked-vs-reference speedups can be read off one run; tools/dshuf_bench
+// records the same comparison as JSON.
 #include <benchmark/benchmark.h>
 
 #include "data/synthetic.hpp"
@@ -13,6 +14,7 @@
 #include "shuffle/shuffler.hpp"
 #include "sim/overlap.hpp"
 #include "task/scheduler.hpp"
+#include "tensor/kernel_ref.hpp"
 
 namespace {
 
@@ -71,16 +73,16 @@ void BM_GlobalEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_GlobalEpoch)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
-void run_gemm(benchmark::State& state, KernelBackend backend,
-              void (*op)(const Tensor&, const Tensor&, Tensor&, bool)) {
-  const ScopedKernelBackend scoped(backend);
+// `op(a, b, out)` computes one n x n x n product into out.
+template <typename Op>
+void run_gemm(benchmark::State& state, Op op) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
   const Tensor a = Tensor::randn({n, n}, rng);
   const Tensor b = Tensor::randn({n, n}, rng);
   Tensor out({n, n});
   for (auto _ : state) {
-    op(a, b, out, false);
+    op(a, b, out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -88,12 +90,18 @@ void run_gemm(benchmark::State& state, KernelBackend backend,
 }
 
 void BM_Gemm(benchmark::State& state) {
-  run_gemm(state, KernelBackend::kBlocked, gemm);
+  run_gemm(state, [](const Tensor& a, const Tensor& b, Tensor& out) {
+    gemm(a, b, out, false);
+  });
 }
 BENCHMARK(BM_Gemm)->Arg(32)->Arg(128)->Arg(256);
 
 void BM_GemmRef(benchmark::State& state) {
-  run_gemm(state, KernelBackend::kReference, gemm);
+  run_gemm(state, [](const Tensor& a, const Tensor& b, Tensor& out) {
+    kernel_ref::gemm_ref(a.data(), b.data(), out.data(), out.rows(),
+                         out.cols(), a.cols(), /*a_transposed=*/false,
+                         /*b_transposed=*/false, /*accumulate=*/false);
+  });
 }
 BENCHMARK(BM_GemmRef)->Arg(32)->Arg(128)->Arg(256);
 
@@ -104,7 +112,6 @@ BENCHMARK(BM_GemmRef)->Arg(32)->Arg(128)->Arg(256);
 void BM_GemmMulticore(benchmark::State& state) {
   const task::ScopedTaskWorkers scoped(
       static_cast<std::size_t>(state.range(0)));
-  const ScopedKernelBackend backend(KernelBackend::kBlocked);
   constexpr std::size_t n = 256;
   Rng rng(3);
   const Tensor a = Tensor::randn({n, n}, rng);
@@ -145,52 +152,70 @@ void BM_TrainEpochOverlap(benchmark::State& state) {
 BENCHMARK(BM_TrainEpochOverlap)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_GemmAtB(benchmark::State& state) {
-  run_gemm(state, KernelBackend::kBlocked, gemm_at_b);
+  run_gemm(state, [](const Tensor& a, const Tensor& b, Tensor& out) {
+    gemm_at_b(a, b, out, false);
+  });
 }
 BENCHMARK(BM_GemmAtB)->Arg(128)->Arg(256);
 
 void BM_GemmABt(benchmark::State& state) {
-  run_gemm(state, KernelBackend::kBlocked, gemm_a_bt);
+  run_gemm(state, [](const Tensor& a, const Tensor& b, Tensor& out) {
+    gemm_a_bt(a, b, out, false);
+  });
 }
 BENCHMARK(BM_GemmABt)->Arg(128)->Arg(256);
 
 // One Conv1d block at the CNN proxy's working size (batch 32, 8 -> 16
-// channels over length 32). Items = output scalars per pass.
+// channels over length 32). Items = output scalars per pass. The *Ref
+// variants run the reference kernels on the layer's own params().
+constexpr std::size_t kConvBatch = 32;
+constexpr std::size_t kConvIn = 8;
+constexpr std::size_t kConvOut = 16;
+constexpr std::size_t kConvLen = 32;
+constexpr std::size_t kConvKernel = 3;
+constexpr std::int64_t kConvOutputs = kConvBatch * kConvOut * kConvLen;
+
 nn::Conv1d make_bench_conv(Rng& rng) {
-  return nn::Conv1d(/*in_channels=*/8, /*out_channels=*/16, /*length=*/32,
-                    /*kernel=*/3, rng);
+  return nn::Conv1d(kConvIn, kConvOut, kConvLen, kConvKernel, rng);
 }
 
-void run_conv_forward(benchmark::State& state, KernelBackend backend) {
-  const ScopedKernelBackend scoped(backend);
+void BM_Conv1dForward(benchmark::State& state) {
   Rng rng(7);
   nn::Conv1d conv = make_bench_conv(rng);
-  const Tensor x = Tensor::randn({32, 8 * 32}, rng);
+  const Tensor x = Tensor::randn({kConvBatch, kConvIn * kConvLen}, rng);
   Tensor y;
   for (auto _ : state) {
     conv.forward_into(x, y, true);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(32 * 16 * 32));
-}
-
-void BM_Conv1dForward(benchmark::State& state) {
-  run_conv_forward(state, KernelBackend::kBlocked);
+                          kConvOutputs);
 }
 BENCHMARK(BM_Conv1dForward);
 
 void BM_Conv1dForwardRef(benchmark::State& state) {
-  run_conv_forward(state, KernelBackend::kReference);
+  Rng rng(7);
+  nn::Conv1d conv = make_bench_conv(rng);
+  const Tensor x = Tensor::randn({kConvBatch, kConvIn * kConvLen}, rng);
+  const auto params = conv.params();
+  Tensor y({kConvBatch, kConvOut * kConvLen});
+  for (auto _ : state) {
+    kernel_ref::conv1d_forward_ref(x.data(), params[0]->value.data(),
+                                   params[1]->value.data(), y.data(),
+                                   kConvBatch, kConvIn, kConvOut, kConvLen,
+                                   kConvKernel);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kConvOutputs);
 }
 BENCHMARK(BM_Conv1dForwardRef);
 
-void run_conv_backward(benchmark::State& state, KernelBackend backend) {
-  const ScopedKernelBackend scoped(backend);
+void BM_Conv1dBackward(benchmark::State& state) {
   Rng rng(7);
   nn::Conv1d conv = make_bench_conv(rng);
-  const Tensor x = Tensor::randn({32, 8 * 32}, rng);
-  const Tensor g = Tensor::randn({32, 16 * 32}, rng);
+  const Tensor x = Tensor::randn({kConvBatch, kConvIn * kConvLen}, rng);
+  const Tensor g = Tensor::randn({kConvBatch, kConvOut * kConvLen}, rng);
   Tensor y;
   Tensor gi;
   conv.forward_into(x, y, true);
@@ -199,16 +224,28 @@ void run_conv_backward(benchmark::State& state, KernelBackend backend) {
     benchmark::DoNotOptimize(gi.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(32 * 16 * 32));
-}
-
-void BM_Conv1dBackward(benchmark::State& state) {
-  run_conv_backward(state, KernelBackend::kBlocked);
+                          kConvOutputs);
 }
 BENCHMARK(BM_Conv1dBackward);
 
 void BM_Conv1dBackwardRef(benchmark::State& state) {
-  run_conv_backward(state, KernelBackend::kReference);
+  Rng rng(7);
+  nn::Conv1d conv = make_bench_conv(rng);
+  const Tensor x = Tensor::randn({kConvBatch, kConvIn * kConvLen}, rng);
+  const Tensor g = Tensor::randn({kConvBatch, kConvOut * kConvLen}, rng);
+  const auto params = conv.params();
+  Tensor gi({kConvBatch, kConvIn * kConvLen});
+  for (auto _ : state) {
+    // Zeroing grad_x is part of the pass, as in Conv1d::backward_into.
+    gi.zero();
+    kernel_ref::conv1d_backward_ref(
+        x.data(), params[0]->value.data(), g.data(), gi.data(),
+        params[0]->grad.data(), params[1]->grad.data(), kConvBatch, kConvIn,
+        kConvOut, kConvLen, kConvKernel);
+    benchmark::DoNotOptimize(gi.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kConvOutputs);
 }
 BENCHMARK(BM_Conv1dBackwardRef);
 

@@ -11,16 +11,20 @@
 //
 // Per arm and size it measures insert / lookup (load_into, the PayloadFn
 // shape) / sequential scan (read() spans) / remove throughput plus the
-// resident and live-payload footprints. The mmap arm also runs a rewrite
-// row on a fresh store: repeated full-rewrite epochs (save n new ids,
-// remove the previous n, advance_epoch — a Q = 1 reshuffle's store
-// traffic), reporting steady-state save throughput and segment files
-// created per steady-state epoch. This TU replaces global operator new
+// resident and live-payload footprints. The lookup phase runs as
+// kLookupTrials trials per arm, alternating file and mmap so machine-load
+// drift hits both arms; lookup_sps is each arm's median trial, and the
+// mmap arm records the median, min and max of the per-trial load ratio.
+// The mmap arm also runs a rewrite row on a fresh store: repeated
+// full-rewrite epochs (save n new ids, remove the previous n,
+// advance_epoch — a Q = 1 reshuffle's store traffic), reporting
+// steady-state save throughput and segment files created per
+// steady-state epoch. This TU replaces global operator new
 // with a counting wrapper so the lookup column also reports exact heap
 // allocations per op — the mmap arm must show 0 in steady state. --out
-// writes BENCH_shard.json (schema dshuf.bench_shard.v3); --check re-reads
-// a written file and enforces the acceptance floor — the mmap arm must
-// load >= 10x faster than FileSampleStore at the largest recorded size,
+// writes BENCH_shard.json (schema dshuf.bench_shard.v4); --check re-reads
+// a written file and enforces the acceptance floor — the mmap arm's median
+// load ratio must be >= 10x FileSampleStore's at the largest recorded size,
 // where its rewrite epochs must also create no segment files once warm
 // (dead segments are recycled) — which is the CI perf-smoke gate. Absolute
 // throughput on shared runners is informational; the ratio is the
@@ -70,7 +74,8 @@ using namespace dshuf;
 namespace fs = std::filesystem;
 
 constexpr std::size_t kPayloadBytes = 128;
-constexpr std::size_t kLookupOps = 100'000;   // sampled, multiplicative hash
+constexpr std::size_t kLookupOps = 100'000;   // per trial; multiplicative hash
+constexpr std::size_t kLookupTrials = 5;
 constexpr std::size_t kScanOpsCap = 200'000;  // sequential id prefix
 constexpr std::size_t kRemoveOpsCap = 50'000;
 constexpr std::size_t kWarmupOps = 2'000;
@@ -81,13 +86,18 @@ struct ArmResult {
   std::string arm;
   std::size_t n = 0;
   double insert_sps = 0.0;  // samples/s
-  double lookup_sps = 0.0;
-  double lookup_allocs_per_op = 0.0;
+  std::vector<double> lookup_trial_sps;  // one per lookup trial
+  double lookup_sps = 0.0;               // median of lookup_trial_sps
+  double lookup_allocs_per_op = 0.0;     // over every trial
   double scan_sps = 0.0;
   double remove_sps = 0.0;
   std::size_t resident_bytes = 0;  // mapped footprint (file arm: disk)
   std::size_t disk_bytes = 0;      // live payload bytes
-  double load_ratio_vs_file = 0.0;  // filled for the mmap arm
+  // Filled for the mmap arm: median, min and max over the per-trial
+  // ratios mmap lookup_trial_sps[t] / file lookup_trial_sps[t].
+  double load_ratio_vs_file = 0.0;
+  double load_ratio_min = 0.0;
+  double load_ratio_max = 0.0;
   double rewrite_save_sps = 0.0;    // mmap arm: steady-state rewrite saves
   double rewrite_files_created_per_epoch = 0.0;  // mmap arm
 };
@@ -99,13 +109,18 @@ void fill_payload(data::SampleId id, std::vector<std::byte>& buf) {
   }
 }
 
-/// Runs the full workload against `store` and fills every column except
-/// the arm name and resident_bytes (the caller knows the concrete type).
-void run_workload(io::SampleStore& store, std::size_t n, ArmResult& res) {
+double median(std::vector<double> v) {
+  DSHUF_CHECK(!v.empty(), "median of no values");
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// Inserts ids [0, n) into `store` and warms the lookup path.
+void fill(io::SampleStore& store, std::size_t n, ArmResult& res) {
   res.n = n;
   std::vector<std::byte> buf;
   buf.reserve(kPayloadBytes);
-
   Stopwatch sw;
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<data::SampleId>(i);
@@ -114,38 +129,52 @@ void run_workload(io::SampleStore& store, std::size_t n, ArmResult& res) {
   }
   res.insert_sps = static_cast<double>(n) / sw.seconds();
 
-  // Lookups: load_into with a reused sink — the exact PayloadFn call
-  // shape the exchange uses to stream a sample into a wire frame.
   std::vector<std::byte> sink;
   sink.reserve(kPayloadBytes);
-  std::uint64_t checksum = 0;
   for (std::size_t i = 0; i < kWarmupOps; ++i) {
     sink.clear();
     store.load_into(static_cast<data::SampleId>(i % n), sink);
-    checksum += sink.size();
+    DSHUF_CHECK_EQ(sink.size(), kPayloadBytes, "short payload");
   }
+}
+
+/// One lookup trial: load_into with a reused sink — the exact PayloadFn
+/// call shape the exchange uses to stream a sample into a wire frame.
+/// Appends the trial's rate and adds its allocations to
+/// lookup_allocs_per_op.
+void lookup_trial(io::SampleStore& store, ArmResult& res) {
+  const std::size_t n = res.n;
+  std::vector<std::byte> sink;
+  sink.reserve(kPayloadBytes);
+  std::uint64_t checksum = 0;
   const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
-  sw.reset();
+  Stopwatch sw;
   for (std::size_t i = 0; i < kLookupOps; ++i) {
     const auto id = static_cast<data::SampleId>((i * 2'654'435'761U) % n);
     sink.clear();
     store.load_into(id, sink);
-    checksum += static_cast<std::uint8_t>(sink[0]);
+    checksum += static_cast<std::uint8_t>(sink[0]) + 1U;
   }
   const double lookup_s = sw.seconds();
   const std::uint64_t allocs_after = g_allocs.load(std::memory_order_relaxed);
-  res.lookup_sps = static_cast<double>(kLookupOps) / lookup_s;
-  res.lookup_allocs_per_op =
+  DSHUF_CHECK_GT(checksum, 0U, "lookups optimised away");
+  res.lookup_trial_sps.push_back(static_cast<double>(kLookupOps) / lookup_s);
+  res.lookup_allocs_per_op +=
       static_cast<double>(allocs_after - allocs_before) /
-      static_cast<double>(kLookupOps);
+      static_cast<double>(kLookupOps * kLookupTrials);
+}
 
+/// The scan and remove phases; fills scan_sps, remove_sps and disk_bytes.
+void scan_and_remove(io::SampleStore& store, ArmResult& res) {
+  const std::size_t n = res.n;
+  std::uint64_t checksum = 0;
   // Sequential scan over an id prefix through the zero-copy read() path.
   const std::size_t scan_n = std::min(n, kScanOpsCap);
-  sw.reset();
+  Stopwatch sw;
   for (std::size_t i = 0; i < scan_n; ++i) {
     store.read(static_cast<data::SampleId>(i),
                [&checksum](std::span<const std::byte> p) {
-                 checksum += static_cast<std::uint8_t>(p[p.size() - 1]);
+                 checksum += static_cast<std::uint8_t>(p[p.size() - 1]) + 1U;
                });
   }
   res.scan_sps = static_cast<double>(scan_n) / sw.seconds();
@@ -162,16 +191,7 @@ void run_workload(io::SampleStore& store, std::size_t n, ArmResult& res) {
   }
   res.remove_sps = static_cast<double>(remove_n) / sw.seconds();
 
-  DSHUF_CHECK_GT(checksum, 0U, "workload optimised away");
-}
-
-ArmResult run_file_arm(const fs::path& dir, std::size_t n) {
-  ArmResult res;
-  res.arm = "file";
-  io::FileSampleStore store(dir);
-  run_workload(store, n, res);
-  res.resident_bytes = store.disk_bytes();
-  return res;
+  DSHUF_CHECK_GT(checksum, 0U, "scan optimised away");
 }
 
 /// Full-rewrite epochs on a fresh store: each epoch saves n ids, removes
@@ -209,18 +229,42 @@ void run_rewrite(const fs::path& dir, std::size_t n, ArmResult& res) {
       static_cast<double>(kRewriteEpochs);
 }
 
-ArmResult run_mmap_arm(const fs::path& dir, std::size_t n) {
-  ArmResult res;
-  res.arm = "mmap";
+/// Both arms at shard size n: fills a file store and an mmap store,
+/// alternates their lookup trials, then runs scan/remove on each and the
+/// mmap arm's rewrite epochs on a fresh store.
+std::vector<ArmResult> run_size(const fs::path& root, std::size_t n) {
+  ArmResult file;
+  file.arm = "file";
+  ArmResult mmap;
+  mmap.arm = "mmap";
+  const fs::path mmap_dir = root / "mmap";
   {
-    io::MmapSampleStore store(dir);
-    run_workload(store, n, res);
-    store.advance_epoch();  // retire the removed slots' quarantine
-    res.resident_bytes = store.resident_bytes();
+    io::FileSampleStore file_store(root / "file");
+    io::MmapSampleStore mmap_store(mmap_dir);
+    fill(file_store, n, file);
+    fill(mmap_store, n, mmap);
+    for (std::size_t t = 0; t < kLookupTrials; ++t) {
+      lookup_trial(file_store, file);
+      lookup_trial(mmap_store, mmap);
+    }
+    scan_and_remove(file_store, file);
+    scan_and_remove(mmap_store, mmap);
+    file.resident_bytes = file_store.disk_bytes();
+    mmap_store.advance_epoch();  // retire the removed slots' quarantine
+    mmap.resident_bytes = mmap_store.resident_bytes();
   }
-  fs::remove_all(dir);
-  run_rewrite(dir, n, res);
-  return res;
+  file.lookup_sps = median(file.lookup_trial_sps);
+  mmap.lookup_sps = median(mmap.lookup_trial_sps);
+  std::vector<double> ratios;
+  for (std::size_t t = 0; t < kLookupTrials; ++t) {
+    ratios.push_back(mmap.lookup_trial_sps[t] / file.lookup_trial_sps[t]);
+  }
+  mmap.load_ratio_vs_file = median(ratios);
+  mmap.load_ratio_min = *std::min_element(ratios.begin(), ratios.end());
+  mmap.load_ratio_max = *std::max_element(ratios.begin(), ratios.end());
+  fs::remove_all(mmap_dir);
+  run_rewrite(mmap_dir, n, mmap);
+  return {file, mmap};
 }
 
 std::string fmt(double v) {
@@ -236,7 +280,7 @@ int run_check(const std::string& path) {
   std::stringstream buf;
   buf << in.rdbuf();
   const json::Value doc = json::parse(buf.str());
-  DSHUF_CHECK_EQ(doc.at("schema").as_string(), "dshuf.bench_shard.v3",
+  DSHUF_CHECK_EQ(doc.at("schema").as_string(), "dshuf.bench_shard.v4",
                  "unexpected schema in " << path);
   const auto& sizes = doc.at("sizes").as_array();
   DSHUF_CHECK(!sizes.empty(), "no sizes recorded in " << path);
@@ -246,13 +290,20 @@ int run_check(const std::string& path) {
     for (const auto& a : s.at("arms").as_array()) {
       DSHUF_CHECK_GT(a.at("insert_sps").as_number(), 0.0, "bad insert_sps");
       DSHUF_CHECK_GT(a.at("lookup_sps").as_number(), 0.0, "bad lookup_sps");
+      DSHUF_CHECK_GE(a.at("lookup_trials").as_int(), 5,
+                     "lookup rate must be a median over >= 5 trials");
       if (a.at("arm").as_string() == "file") continue;
       DSHUF_CHECK_GT(a.at("rewrite_save_sps").as_number(), 0.0,
                      "bad rewrite_save_sps");
+      const double lo = a.at("load_ratio_min").as_number();
+      const double mid = a.at("load_ratio_vs_file").as_number();
+      const double hi = a.at("load_ratio_max").as_number();
+      DSHUF_CHECK(lo > 0.0 && lo <= mid && mid <= hi,
+                  "load ratio median outside its min/max");
     }
   }
   // The acceptance floor: at the largest recorded shard size, the mmap
-  // arm must load >= 10x faster than the per-file baseline, its
+  // arm's median load ratio must be >= 10x the per-file baseline, its
   // steady-state lookups must be allocation-free, and once warm its
   // full-rewrite epochs must run entirely on recycled segments. (At
   // 10^4 samples an epoch rewrites a third of one segment, too little
@@ -262,7 +313,12 @@ int run_check(const std::string& path) {
     if (a.at("arm").as_string() == "file") continue;
     const double r = a.at("load_ratio_vs_file").as_number();
     DSHUF_CHECK_GE(r, 10.0, a.at("arm").as_string()
-                                << " lost its load-throughput win");
+                                << " lost its load-throughput win (median "
+                                << r << "x over trials from "
+                                << a.at("load_ratio_min").as_number()
+                                << "x to "
+                                << a.at("load_ratio_max").as_number()
+                                << "x)");
     DSHUF_CHECK_EQ(a.at("lookup_allocs_per_op").as_number(), 0.0,
                    a.at("arm").as_string() << " lookups allocate");
     DSHUF_CHECK_EQ(a.at("rewrite_files_created_per_epoch").as_number(), 0.0,
@@ -270,7 +326,7 @@ int run_check(const std::string& path) {
                        << " creates segment files in steady-state rewrite "
                           "epochs");
   }
-  std::cout << "bench_shard: " << path << " OK (load ratio >= 10x at n="
+  std::cout << "bench_shard: " << path << " OK (median load ratio >= 10x at n="
             << largest.at("n").as_number()
             << ", 0 files created per steady-state rewrite epoch there)\n";
   return 0;
@@ -304,13 +360,8 @@ int main(int argc, char** argv) {
 
   std::vector<std::vector<ArmResult>> results;
   for (const std::size_t n : sizes) {
-    std::vector<ArmResult> arms;
-    arms.push_back(run_file_arm(root / "file", n));
-    arms.push_back(run_mmap_arm(root / "mmap", n));
-    for (ArmResult& a : arms) {
-      if (a.arm != "file") {
-        a.load_ratio_vs_file = a.lookup_sps / arms.front().lookup_sps;
-      }
+    std::vector<ArmResult> arms = run_size(root, n);
+    for (const ArmResult& a : arms) {
       std::cout << "n=" << n << " " << a.arm << ": insert "
                 << fmt(a.insert_sps) << "/s, lookup " << fmt(a.lookup_sps)
                 << "/s (" << fmt(a.lookup_allocs_per_op)
@@ -318,8 +369,9 @@ int main(int argc, char** argv) {
                 << fmt(a.remove_sps) << "/s, resident " << a.resident_bytes
                 << " B, live " << a.disk_bytes << " B";
       if (a.arm != "file") {
-        std::cout << ", load ratio " << fmt(a.load_ratio_vs_file)
-                  << "x, rewrite save " << fmt(a.rewrite_save_sps) << "/s ("
+        std::cout << ", load ratio " << fmt(a.load_ratio_vs_file) << "x ["
+                  << fmt(a.load_ratio_min) << ", " << fmt(a.load_ratio_max)
+                  << "], rewrite save " << fmt(a.rewrite_save_sps) << "/s ("
                   << fmt(a.rewrite_files_created_per_epoch)
                   << " files created/epoch)";
       }
@@ -332,9 +384,10 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get("out");
   if (!out_path.empty()) {
     std::ostringstream j;
-    j << "{\n  \"schema\": \"dshuf.bench_shard.v3\",\n"
+    j << "{\n  \"schema\": \"dshuf.bench_shard.v4\",\n"
       << "  \"config\": {\"payload_bytes\": " << kPayloadBytes
       << ", \"lookup_ops\": " << kLookupOps
+      << ", \"lookup_trials\": " << kLookupTrials
       << ", \"scan_ops_cap\": " << kScanOpsCap
       << ", \"remove_ops_cap\": " << kRemoveOpsCap
       << ", \"rewrite_warmup_epochs\": " << kRewriteWarmupEpochs
@@ -348,12 +401,15 @@ int main(int argc, char** argv) {
         j << "      {\"arm\": \"" << a.arm
           << "\", \"insert_sps\": " << fmt(a.insert_sps)
           << ", \"lookup_sps\": " << fmt(a.lookup_sps)
+          << ", \"lookup_trials\": " << a.lookup_trial_sps.size()
           << ", \"lookup_allocs_per_op\": " << fmt(a.lookup_allocs_per_op)
           << ", \"scan_sps\": " << fmt(a.scan_sps)
           << ", \"remove_sps\": " << fmt(a.remove_sps)
           << ", \"resident_bytes\": " << a.resident_bytes
           << ", \"disk_bytes\": " << a.disk_bytes
           << ", \"load_ratio_vs_file\": " << fmt(a.load_ratio_vs_file)
+          << ", \"load_ratio_min\": " << fmt(a.load_ratio_min)
+          << ", \"load_ratio_max\": " << fmt(a.load_ratio_max)
           << ", \"rewrite_save_sps\": " << fmt(a.rewrite_save_sps)
           << ", \"rewrite_files_created_per_epoch\": "
           << fmt(a.rewrite_files_created_per_epoch) << "}"

@@ -6,7 +6,6 @@
 #include "nn/norm.hpp"
 #include "tensor/gemm_kernel.hpp"
 #include "tensor/im2col.hpp"
-#include "tensor/kernel_ref.hpp"
 
 namespace dshuf::nn {
 
@@ -36,14 +35,6 @@ void Conv1d::forward_into(const Tensor& x, Tensor& y, bool /*training*/) {
   cached_in_ = &x;
   cached_batch_ = N;
   y.resize2(N, out_channels_ * length_);
-
-  if (kernel_backend() == KernelBackend::kReference) {
-    kernel_ref::conv1d_forward_ref(x.data(), weight_.value.data(),
-                                   bias_.value.data(), y.data(), N,
-                                   in_channels_, out_channels_, length_,
-                                   kernel_);
-    return;
-  }
 
   // Lower to a column matrix, then the whole convolution is one GEMM:
   //   out_big[oc, n*L + t] = W[oc, ic*k] * cols[ic*k, n*L + t].
@@ -78,14 +69,6 @@ void Conv1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
                  "Conv1d grad feature mismatch");
   grad_in.resize2(N, in_channels_ * length_);
   grad_in.zero();
-
-  if (kernel_backend() == KernelBackend::kReference) {
-    kernel_ref::conv1d_backward_ref(
-        cached_in_->data(), weight_.value.data(), grad_out.data(),
-        grad_in.data(), weight_.grad.data(), bias_.grad.data(), N,
-        in_channels_, out_channels_, length_, kernel_);
-    return;
-  }
 
   const std::size_t nl = N * length_;
   const std::size_t ck = in_channels_ * kernel_;

@@ -11,8 +11,7 @@
 // Conv1d is computed as im2col + GEMM (tensor/im2col.hpp feeding the
 // blocked kernel), with the bias fused into the scatter back to the
 // layer's [N, out_c * L] layout. The pre-overhaul scalar loops survive as
-// kernel_ref::conv1d_*_ref and are used when the process-wide
-// KernelBackend is kReference.
+// kernel_ref::conv1d_*_ref, the equivalence tests' oracle.
 #pragma once
 
 #include "nn/builder.hpp"

@@ -4,9 +4,9 @@
 // much of it HIDES under training compute. This module turns a span list
 // into that number:
 //
-//   * exchange spans — "exchange.epoch" (split-phase exchange, open from
-//     post to finish), "exchange.task" (the trainer's prefetched
-//     begin_epoch), and "sim.epoch.shuffle" (the sequential shuffle step);
+//   * exchange spans — "exchange.epoch" (sim::run_overlapped_epochs'
+//     split-phase exchange, open from post to finish) and
+//     "sim.epoch.shuffle" (sim::train_model's sequential shuffle step);
 //   * compute spans — "sim.epoch.compute" and anything under the
 //     "compute." prefix (e.g. the overlap driver's "compute.batch").
 //

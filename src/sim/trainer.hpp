@@ -9,6 +9,10 @@
 // what an M-rank data-parallel run of the same seeds would compute —
 // which is what lets a single core stand in for the paper's 2,048-GPU
 // experiments (accuracy-wise; wall-clock is dshuf::perf's job).
+//
+// Each epoch runs one schedule: the shuffler's begin_epoch(e), then epoch
+// e's compute, then evaluation. Hiding the exchange under compute is
+// sim::run_overlapped_epochs' job (sim/overlap.hpp), not the trainer's.
 #pragma once
 
 #include <cstdint>
@@ -50,20 +54,6 @@ struct SimConfig {
   /// one fused global-batch forward/backward (mathematically identical
   /// gradient; batch stats become global).
   bool sync_batchnorm = false;
-  /// Overlap each epoch's exchange with the PREVIOUS epoch's compute:
-  /// epoch e+1's begin_epoch runs as a task-scheduler comm task while
-  /// epoch e's forward/backward runs on this thread (the paper's "hide
-  /// shuffling behind training" claim, measured by the dshuf_trace
-  /// overlap report). Results are bit-identical to the sequential
-  /// schedule: the exchange sequence is unchanged and the compute loop
-  /// reads an order snapshot taken before the prefetch is posted. With no
-  /// global scheduler (DSHUF_WORKERS=1) the prefetch runs inline before
-  /// the compute span — same results, honestly ~0 overlap in the trace.
-  /// Ignored (forced off) for importance pick policies, which need epoch
-  /// e's losses before epoch e+1's exchange may start.
-  bool overlap_exchange = false;
-  /// Evaluate every k epochs (always evaluates the last epoch).
-  std::size_t eval_every = 1;
   /// Cap on validation samples per evaluation (0 = all). Subsampling uses
   /// a fixed random subset so curves are comparable across strategies.
   std::size_t max_eval_samples = 4096;
@@ -74,7 +64,7 @@ struct SimConfig {
 struct EpochRecord {
   std::size_t epoch = 0;
   double train_loss = 0;
-  double val_top1 = -1;  // -1 = not evaluated this epoch
+  double val_top1 = -1;  // -1 = no validation set
   float lr = 0;
   std::size_t samples_exchanged = 0;  // total across workers
 };

@@ -1,13 +1,12 @@
 // Retained naive reference kernels.
 //
-// These are the pre-overhaul scalar implementations, kept for three jobs:
-// (1) the kernel-equivalence test suite checks the blocked GEMM and the
-// im2col Conv1d against them across awkward shapes; (2) the
-// KernelBackend::kReference switch routes the whole training stack
-// through them so tools/dshuf_bench can measure genuine before/after
-// numbers with one binary; (3) they document the semantics the optimised
-// kernels must preserve. They are intentionally unoptimised — no one
-// should "fix" their performance.
+// These are the pre-overhaul scalar implementations, kept for two jobs:
+// (1) they are the oracle the kernel-equivalence tests check the blocked
+// GEMM and the im2col Conv1d against across awkward shapes, and the
+// baseline tools/dshuf_bench and bench_micro_core time the kernels
+// against (both call them directly); (2) they document the semantics the
+// optimised kernels must preserve. They are intentionally unoptimised —
+// no one should "fix" their performance.
 #pragma once
 
 #include <cstddef>

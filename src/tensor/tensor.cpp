@@ -1,13 +1,11 @@
 #include "tensor/tensor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <sstream>
 
 #include "obs/metrics.hpp"
 #include "tensor/gemm_kernel.hpp"
-#include "tensor/kernel_ref.hpp"
 
 namespace dshuf {
 
@@ -120,37 +118,18 @@ void check_matrix(const Tensor& t, const char* name) {
   DSHUF_CHECK_EQ(t.rank(), 2U, name << " must be a matrix");
 }
 
-// Acquire/release atomic (see the thread-model note in tensor.hpp): a
-// reader that observes a flip also observes everything the flipping
-// thread wrote before it. gemm_dispatch reads it exactly once per call,
-// so one GEMM never straddles a concurrent flip.
-std::atomic<KernelBackend> g_kernel_backend{KernelBackend::kBlocked};
-
-/// Shared tail of the three gemm entry points: counts the call, then
-/// routes to the blocked production kernel or the retained reference.
-void gemm_dispatch(const float* a, const float* b, float* out, std::size_t m,
-                   std::size_t n, std::size_t k, bool a_transposed,
-                   bool b_transposed, bool accumulate) {
+/// Shared tail of the three gemm entry points: counts the call, then runs
+/// the blocked kernel.
+void counted_gemm(const float* a, const float* b, float* out, std::size_t m,
+                  std::size_t n, std::size_t k, bool a_transposed,
+                  bool b_transposed, bool accumulate) {
   DSHUF_COUNTER("tensor.gemm.calls").add(1);
   DSHUF_COUNTER("tensor.gemm.flops").add(2ULL * m * n * k);
-  if (kernel_backend() == KernelBackend::kBlocked) {
-    kernel::gemm_blocked(a, b, out, m, n, k, a_transposed, b_transposed,
-                         accumulate);
-  } else {
-    kernel_ref::gemm_ref(a, b, out, m, n, k, a_transposed, b_transposed,
-                         accumulate);
-  }
+  kernel::gemm_blocked(a, b, out, m, n, k, a_transposed, b_transposed,
+                       accumulate);
 }
 
 }  // namespace
-
-KernelBackend kernel_backend() {
-  return g_kernel_backend.load(std::memory_order_acquire);
-}
-
-void set_kernel_backend(KernelBackend backend) {
-  g_kernel_backend.store(backend, std::memory_order_release);
-}
 
 void gemm(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate) {
   check_matrix(a, "a");
@@ -162,8 +141,8 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& out, bool accumulate) {
   DSHUF_CHECK_EQ(b.rows(), K, "gemm inner dimensions must match");
   DSHUF_CHECK_EQ(out.rows(), M, "gemm output rows mismatch");
   DSHUF_CHECK_EQ(out.cols(), N, "gemm output cols mismatch");
-  gemm_dispatch(a.data(), b.data(), out.data(), M, N, K,
-                /*a_transposed=*/false, /*b_transposed=*/false, accumulate);
+  counted_gemm(a.data(), b.data(), out.data(), M, N, K,
+               /*a_transposed=*/false, /*b_transposed=*/false, accumulate);
 }
 
 void gemm_at_b(const Tensor& a, const Tensor& b, Tensor& out,
@@ -177,8 +156,8 @@ void gemm_at_b(const Tensor& a, const Tensor& b, Tensor& out,
   DSHUF_CHECK_EQ(b.rows(), K, "gemm_at_b batch dimensions must match");
   DSHUF_CHECK_EQ(out.rows(), M, "gemm_at_b output rows mismatch");
   DSHUF_CHECK_EQ(out.cols(), N, "gemm_at_b output cols mismatch");
-  gemm_dispatch(a.data(), b.data(), out.data(), M, N, K,
-                /*a_transposed=*/true, /*b_transposed=*/false, accumulate);
+  counted_gemm(a.data(), b.data(), out.data(), M, N, K,
+               /*a_transposed=*/true, /*b_transposed=*/false, accumulate);
 }
 
 void gemm_a_bt(const Tensor& a, const Tensor& b, Tensor& out,
@@ -192,8 +171,8 @@ void gemm_a_bt(const Tensor& a, const Tensor& b, Tensor& out,
   DSHUF_CHECK_EQ(b.cols(), K, "gemm_a_bt inner dimensions must match");
   DSHUF_CHECK_EQ(out.rows(), M, "gemm_a_bt output rows mismatch");
   DSHUF_CHECK_EQ(out.cols(), N, "gemm_a_bt output cols mismatch");
-  gemm_dispatch(a.data(), b.data(), out.data(), M, N, K,
-                /*a_transposed=*/false, /*b_transposed=*/true, accumulate);
+  counted_gemm(a.data(), b.data(), out.data(), M, N, K,
+               /*a_transposed=*/false, /*b_transposed=*/true, accumulate);
 }
 
 std::vector<std::uint32_t> argmax_rows(const Tensor& m) {

@@ -128,45 +128,6 @@ void copy_into(const Tensor& src, Tensor& dst);
 
 // --- BLAS-like free functions (row-major) ---------------------------------
 
-/// Which dense-compute implementation the gemm/conv entry points use.
-/// kBlocked is the packed, register-tiled production kernel; kReference is
-/// the retained naive kernel, kept for equivalence testing and for
-/// before/after measurement (tools/dshuf_bench). Process-wide; intended
-/// for tests and benches only — experiments always run kBlocked.
-///
-/// Thread model: the switch is an atomic with release/acquire semantics —
-/// set_kernel_backend publishes with release, kernel_backend reads with
-/// acquire, so a thread that observes the new value also observes
-/// everything the flipping thread wrote before the flip. Each gemm/conv
-/// call reads the switch exactly ONCE at dispatch, so a single call never
-/// tears across a concurrent flip: it runs entirely on the backend it
-/// observed (both backends compute the same values, only the rounding
-/// schedule differs). Flipping while task-scheduler workers run compute
-/// is therefore safe; for DETERMINISTIC results flip from the thread that
-/// submits the work, before submitting (scheduler enqueue/steal ordering
-/// then guarantees every task sees the flip).
-enum class KernelBackend { kBlocked, kReference };
-
-[[nodiscard]] KernelBackend kernel_backend();
-void set_kernel_backend(KernelBackend backend);
-
-/// RAII helper: switch the backend for a scope (tests/benches). Same
-/// thread model as set_kernel_backend — construct/destroy it on the
-/// thread that submits the compute.
-class ScopedKernelBackend {
- public:
-  explicit ScopedKernelBackend(KernelBackend backend)
-      : prev_(kernel_backend()) {
-    set_kernel_backend(backend);
-  }
-  ScopedKernelBackend(const ScopedKernelBackend&) = delete;
-  ScopedKernelBackend& operator=(const ScopedKernelBackend&) = delete;
-  ~ScopedKernelBackend() { set_kernel_backend(prev_); }
-
- private:
-  KernelBackend prev_;
-};
-
 /// out = a(MxK) * b(KxN). out must be pre-shaped MxN; accumulate=false
 /// overwrites, true adds into out.
 void gemm(const Tensor& a, const Tensor& b, Tensor& out,

@@ -5,7 +5,8 @@
 // the micro-tile), and — per the determinism contract in
 // tensor/gemm_kernel.hpp — must be bit-identical across repeated runs
 // and across cache-block configurations. Conv1d's im2col+GEMM path is
-// checked against the scalar reference both ways through the layer.
+// checked, forward and backward, against the scalar reference kernels run
+// on the layer's own parameters.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -68,14 +69,9 @@ TEST(GemmEquivalence, BlockedMatchesReferenceAllVariants) {
                                          rng);
           Tensor blocked({m, n});
           Tensor ref({m, n});
-          {
-            const ScopedKernelBackend s(KernelBackend::kBlocked);
-            v.fn(a, b, blocked, false);
-          }
-          {
-            const ScopedKernelBackend s(KernelBackend::kReference);
-            v.fn(a, b, ref, false);
-          }
+          v.fn(a, b, blocked, false);
+          kernel_ref::gemm_ref(a.data(), b.data(), ref.data(), m, n, k,
+                               v.a_is_km, v.b_is_nk, /*accumulate=*/false);
           ASSERT_LE(max_abs_diff(blocked, ref), kTol)
               << v.name << " m=" << m << " n=" << n << " k=" << k;
         }
@@ -103,21 +99,13 @@ TEST(GemmEquivalence, AccumulateAddsOntoExistingOutput) {
     copy_into(seed, blocked);
     Tensor ref;
     copy_into(seed, ref);
-    {
-      const ScopedKernelBackend s(KernelBackend::kBlocked);
-      v.fn(a, b, blocked, true);
-    }
-    {
-      const ScopedKernelBackend s(KernelBackend::kReference);
-      v.fn(a, b, ref, true);
-    }
+    v.fn(a, b, blocked, true);
+    kernel_ref::gemm_ref(a.data(), b.data(), ref.data(), m, n, k, v.a_is_km,
+                         v.b_is_nk, /*accumulate=*/true);
     ASSERT_LE(max_abs_diff(blocked, ref), kTol) << v.name;
     // And the accumulate really added onto the seed, not overwrote it.
     Tensor plain({m, n});
-    {
-      const ScopedKernelBackend s(KernelBackend::kBlocked);
-      v.fn(a, b, plain, false);
-    }
+    v.fn(a, b, plain, false);
     float m_diff = 0.0F;
     for (std::size_t i = 0; i < plain.size(); ++i) {
       m_diff = std::max(m_diff, std::fabs(blocked.data()[i] - seed.data()[i] -
@@ -240,60 +228,56 @@ TEST(Im2col, Col2imIsAdjoint) {
   }
 }
 
+// The layer's im2col+GEMM path against the scalar reference kernels, run
+// on the layer's own params().
 TEST(Conv1dEquivalence, ForwardMatchesReference) {
+  constexpr std::size_t kN = 6;
+  constexpr std::size_t kInC = 3;
+  constexpr std::size_t kOutC = 5;
+  constexpr std::size_t kLen = 11;
   for (std::size_t kernel : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
-    Rng rng_b(31);
-    Rng rng_r(31);
-    nn::Conv1d conv_b(3, 5, 11, kernel, rng_b);
-    nn::Conv1d conv_r(3, 5, 11, kernel, rng_r);
+    Rng rng(31);
+    nn::Conv1d conv(kInC, kOutC, kLen, kernel, rng);
     Rng xrng(37);
-    const Tensor x = Tensor::randn({6, 3 * 11}, xrng);
+    const Tensor x = Tensor::randn({kN, kInC * kLen}, xrng);
     Tensor y_b;
-    Tensor y_r;
-    {
-      const ScopedKernelBackend s(KernelBackend::kBlocked);
-      conv_b.forward_into(x, y_b, true);
-    }
-    {
-      const ScopedKernelBackend s(KernelBackend::kReference);
-      conv_r.forward_into(x, y_r, true);
-    }
-    ASSERT_EQ(y_b.rows(), 6U);
-    ASSERT_EQ(y_b.cols(), 5U * 11U);
+    conv.forward_into(x, y_b, true);
+    const auto p = conv.params();
+    Tensor y_r({kN, kOutC * kLen});
+    kernel_ref::conv1d_forward_ref(x.data(), p[0]->value.data(),
+                                   p[1]->value.data(), y_r.data(), kN, kInC,
+                                   kOutC, kLen, kernel);
+    ASSERT_EQ(y_b.rows(), kN);
+    ASSERT_EQ(y_b.cols(), kOutC * kLen);
     ASSERT_LE(max_abs_diff(y_b, y_r), kTol) << "kernel=" << kernel;
   }
 }
 
 TEST(Conv1dEquivalence, BackwardMatchesReference) {
+  constexpr std::size_t kN = 6;
+  constexpr std::size_t kInC = 3;
+  constexpr std::size_t kOutC = 5;
+  constexpr std::size_t kLen = 11;
   for (std::size_t kernel : {std::size_t{1}, std::size_t{3}, std::size_t{5}}) {
-    Rng rng_b(41);
-    Rng rng_r(41);
-    nn::Conv1d conv_b(3, 5, 11, kernel, rng_b);
-    nn::Conv1d conv_r(3, 5, 11, kernel, rng_r);
+    Rng rng(41);
+    nn::Conv1d conv(kInC, kOutC, kLen, kernel, rng);
     Rng xrng(43);
-    const Tensor x = Tensor::randn({6, 3 * 11}, xrng);
-    const Tensor g = Tensor::randn({6, 5 * 11}, xrng);
+    const Tensor x = Tensor::randn({kN, kInC * kLen}, xrng);
+    const Tensor g = Tensor::randn({kN, kOutC * kLen}, xrng);
     Tensor y;
     Tensor gi_b;
-    Tensor gi_r;
-    {
-      const ScopedKernelBackend s(KernelBackend::kBlocked);
-      conv_b.forward_into(x, y, true);
-      conv_b.backward_into(g, gi_b);
-    }
-    {
-      const ScopedKernelBackend s(KernelBackend::kReference);
-      conv_r.forward_into(x, y, true);
-      conv_r.backward_into(g, gi_r);
-    }
+    conv.forward_into(x, y, true);
+    conv.backward_into(g, gi_b);
+    const auto p = conv.params();
+    Tensor gi_r({kN, kInC * kLen});
+    Tensor dw_r(p[0]->value.shape());
+    Tensor db_r(p[1]->value.shape());
+    kernel_ref::conv1d_backward_ref(x.data(), p[0]->value.data(), g.data(),
+                                    gi_r.data(), dw_r.data(), db_r.data(), kN,
+                                    kInC, kOutC, kLen, kernel);
     ASSERT_LE(max_abs_diff(gi_b, gi_r), kTol) << "kernel=" << kernel;
-    const auto pb = conv_b.params();
-    const auto pr = conv_r.params();
-    ASSERT_EQ(pb.size(), pr.size());
-    for (std::size_t i = 0; i < pb.size(); ++i) {
-      ASSERT_LE(max_abs_diff(pb[i]->grad, pr[i]->grad), kTol)
-          << "kernel=" << kernel << " param " << pb[i]->name;
-    }
+    ASSERT_LE(max_abs_diff(p[0]->grad, dw_r), kTol) << "kernel=" << kernel;
+    ASSERT_LE(max_abs_diff(p[1]->grad, db_r), kTol) << "kernel=" << kernel;
   }
 }
 

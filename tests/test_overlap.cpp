@@ -67,7 +67,7 @@ TEST(OverlapMetric, OverlappingComputeSpansCoalesceIntoAUnion) {
 TEST(OverlapMetric, ExchangeSpansSumAcrossHiddenAndExposed) {
   const auto r = report_of({
       {"sim.epoch.compute", 0, 100},
-      {"exchange.task", 0, 10},     // fully hidden
+      {"exchange.epoch", 0, 10},    // fully hidden
       {"sim.epoch.shuffle", 200, 20}, // fully exposed
   });
   EXPECT_EQ(r.exchange_spans, 2U);
@@ -119,7 +119,6 @@ TEST(OverlapMetric, UnrelatedSpansDoNotPerturbTheNumbers) {
 
 TEST(OverlapMetric, SpanTaxonomy) {
   EXPECT_TRUE(obs::is_exchange_span("exchange.epoch"));
-  EXPECT_TRUE(obs::is_exchange_span("exchange.task"));
   EXPECT_TRUE(obs::is_exchange_span("sim.epoch.shuffle"));
   EXPECT_TRUE(obs::is_compute_span("sim.epoch.compute"));
   EXPECT_TRUE(obs::is_compute_span("compute.batch"));

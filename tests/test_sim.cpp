@@ -58,6 +58,16 @@ TEST(Trainer, DeterministicForSeed) {
   }
 }
 
+TEST(Trainer, EvaluatesEveryEpoch) {
+  const auto r = run_workload_experiment(
+      tiny_workload(), tiny_config(shuffle::Strategy::kPartial, 0.25));
+  ASSERT_EQ(r.epochs.size(), 6U);
+  for (const auto& e : r.epochs) {
+    EXPECT_GE(e.val_top1, 0.0) << "epoch " << e.epoch << " not evaluated";
+  }
+  EXPECT_DOUBLE_EQ(r.final_top1, r.epochs.back().val_top1);
+}
+
 TEST(Trainer, PartialReportsExchangeAndStorageBound) {
   auto cfg = tiny_config(shuffle::Strategy::kPartial, 0.25);
   const auto r = run_workload_experiment(tiny_workload(), cfg);

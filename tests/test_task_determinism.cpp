@@ -1,28 +1,17 @@
-// Bit-identity of the multicore kernels and the overlapped trainer.
+// Bit-identity of the multicore kernels and the trainer.
 //
 // The work-stealing runtime parallelises GEMM/im2col over M-blocks with
-// the reduction order inside every micro-tile unchanged, and the trainer's
-// overlapped exchange prefetch replays the exact begin_epoch sequence the
-// sequential schedule runs — so EVERY result here must match the serial
-// path to the last bit, not to a tolerance. These tests pin that contract
-// at 1/2/4/8 workers.
-//
-// Also here: the regression test for the thread-aware process-wide kernel
-// backend switch (ScopedKernelBackend), an atomic with release/acquire
-// semantics read once per call; flipping it from another thread under
-// load must never tear (TSan runs this via the `concurrent` label) and
-// every individual call must land wholly on one backend.
+// the reduction order inside every micro-tile unchanged — so EVERY result
+// here must match the serial path to the last bit, not to a tolerance.
+// These tests pin that contract at 1/2/4/8 workers.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "data/synthetic.hpp"
 #include "nn/builder.hpp"
 #include "nn/conv.hpp"
-#include "sim/overlap.hpp"
 #include "sim/trainer.hpp"
 #include "task/scheduler.hpp"
 #include "util/error.hpp"
@@ -49,7 +38,6 @@ constexpr std::size_t kWorkerCounts[] = {1, 2, 4, 8};
 // n=160 crosses the parallel gate (m*n*k >= 1<<20), so the scheduler
 // actually partitions the M-blocks at workers > 1.
 TEST(TaskDeterminism, GemmBitIdenticalAcrossWorkers) {
-  const ScopedKernelBackend backend(KernelBackend::kBlocked);
   constexpr std::size_t n = 160;
   Rng rng(3);
   const Tensor a = Tensor::randn({n, n}, rng);
@@ -78,7 +66,6 @@ TEST(TaskDeterminism, GemmBitIdenticalAcrossWorkers) {
 }
 
 TEST(TaskDeterminism, GemmTransposeVariantsBitIdenticalAcrossWorkers) {
-  const ScopedKernelBackend backend(KernelBackend::kBlocked);
   constexpr std::size_t n = 160;
   Rng rng(5);
   const Tensor a = Tensor::randn({n, n}, rng);
@@ -100,7 +87,6 @@ TEST(TaskDeterminism, GemmTransposeVariantsBitIdenticalAcrossWorkers) {
 }
 
 TEST(TaskDeterminism, Conv1dBitIdenticalAcrossWorkers) {
-  const ScopedKernelBackend backend(KernelBackend::kBlocked);
   Rng srng(7);
   const Tensor x = Tensor::randn({32, 8 * 32}, srng);
   const Tensor g = Tensor::randn({32, 16 * 32}, srng);
@@ -164,17 +150,16 @@ struct TrainedRun {
   sim::SimResult result;
 };
 
-TrainedRun train_once(bool overlap, std::size_t workers) {
+TrainedRun train_once(std::size_t workers) {
   const task::ScopedTaskWorkers scoped(workers);
   const auto w = tiny_workload();
-  auto cfg = tiny_config();
-  cfg.overlap_exchange = overlap;
+  const auto cfg = tiny_config();
   auto split = data::make_class_clusters_split(w.data);
   Rng mrng = Rng(cfg.seed).fork(0x91);
   nn::Model model = nn::make_mlp(w.model, mrng);
   TrainedRun run;
   run.result = sim::train_model(model, split.train, split.val, w.regime, cfg,
-                                overlap ? "overlap" : "sequential");
+                                "sequential");
   run.params = model.state();
   run.buffers = model.buffer_state();
   return run;
@@ -197,63 +182,17 @@ void expect_same_run(const TrainedRun& a, const TrainedRun& b,
       << what;
 }
 
-// The acceptance bit: multicore + overlapped training reproduces the
-// serial sequential schedule's model EXACTLY — same parameters, same
-// BatchNorm buffers, same per-epoch losses and exchange counts.
-TEST(TaskDeterminism, TrainedModelBitIdenticalAcrossWorkersAndOverlap) {
-  const TrainedRun baseline = train_once(/*overlap=*/false, /*workers=*/1);
+// The acceptance bit: multicore training reproduces the serial schedule's
+// model EXACTLY — same parameters, same BatchNorm buffers, same per-epoch
+// losses and exchange counts.
+TEST(TaskDeterminism, TrainedModelBitIdenticalAcrossWorkers) {
+  const TrainedRun baseline = train_once(/*workers=*/1);
   ASSERT_GT(baseline.result.epochs.front().samples_exchanged, 0U)
       << "config must actually exchange, or the test proves nothing";
 
-  expect_same_run(baseline, train_once(true, 1), "overlap@1");
   for (const std::size_t w : {2UL, 4UL, 8UL}) {
-    expect_same_run(baseline, train_once(false, w), "sequential@multi");
-    expect_same_run(baseline, train_once(true, w), "overlap@multi");
+    expect_same_run(baseline, train_once(w), "sequential@multi");
   }
-}
-
-// --- mode switches flipped under load --------------------------------
-
-// Another thread flips the kernel backend as fast as it can while we run
-// GEMMs. Each call must land wholly on ONE backend: the result is byte-
-// equal to the pure-blocked or the pure-reference product, never a blend.
-TEST(TaskDeterminism, KernelBackendFlipUnderLoadIsPerCallConsistent) {
-  constexpr std::size_t n = 64;
-  Rng rng(11);
-  const Tensor a = Tensor::randn({n, n}, rng);
-  const Tensor b = Tensor::randn({n, n}, rng);
-  Tensor blocked({n, n});
-  Tensor reference({n, n});
-  {
-    const ScopedKernelBackend s(KernelBackend::kBlocked);
-    gemm(a, b, blocked, false);
-  }
-  {
-    const ScopedKernelBackend s(KernelBackend::kReference);
-    gemm(a, b, reference, false);
-  }
-
-  std::atomic<bool> stop{false};
-  std::thread flipper([&] {
-    bool which = false;
-    while (!stop.load(std::memory_order_acquire)) {
-      set_kernel_backend(which ? KernelBackend::kBlocked
-                               : KernelBackend::kReference);
-      which = !which;
-    }
-  });
-
-  Tensor out({n, n});
-  for (int i = 0; i < 400; ++i) {
-    gemm(a, b, out, false);
-    const bool is_blocked = bits_equal(out, blocked);
-    const bool is_reference = bits_equal(out, reference);
-    ASSERT_TRUE(is_blocked || is_reference)
-        << "gemm result matches neither backend at iteration " << i;
-  }
-  stop.store(true, std::memory_order_release);
-  flipper.join();
-  set_kernel_backend(KernelBackend::kBlocked);
 }
 
 }  // namespace

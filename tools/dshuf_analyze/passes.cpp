@@ -521,7 +521,6 @@ atomics_profiles() {
           // Epoch pins: CAS-claimed under the store lock, released with a
           // store-release that the reclaim scan acquires.
           {"src/io/mmap_store.cpp", {"acquire", "release", "acq_rel"}},
-          {"src/tensor/tensor.cpp", {"acquire", "release"}},
           {"src/util/ranked_mutex.cpp", {"seq_cst", "acquire", "acq_rel"}},
           // src/netsim/* has NO entry on purpose: the virtual-rank
           // backend is single-OS-thread by design (fibers + one event

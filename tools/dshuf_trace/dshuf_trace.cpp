@@ -10,8 +10,8 @@
 // exits non-zero on any malformed input, which is what the CI obs step
 // runs against fresh bench output. --min-overlap=F additionally gates on
 // the overlap report (exit non-zero when the hidden fraction of exchange
-// time is below F) — the CI perf-smoke step holds the overlapped trainer
-// bench to 0.5.
+// time is below F) — the CI perf-smoke step holds bench_overlap's
+// overlapped schedule to 0.5.
 //
 //   dshuf_trace --trace=trace.json [--metrics=metrics.json] [--top=N]
 //   dshuf_trace --trace=trace.json [--timeseries=ts.json] --check
