@@ -1,5 +1,6 @@
 #include "comm/comm.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <exception>
@@ -469,20 +470,34 @@ std::optional<Message> Communicator::recv_for(
 
 std::vector<double> Communicator::allreduce_sum(
     std::span<const double> contribution) {
-  auto& slots = collective_slots().reduce;
-  slots[static_cast<std::size_t>(rank_)].assign(contribution.begin(),
-                                                contribution.end());
+  auto& slots = collective_slots();
+  const auto me = static_cast<std::size_t>(rank_);
+  std::vector<double> out(contribution.size());
+  slots.reduce_in[me] = contribution;
+  slots.reduce_out[me] = out;
   barrier();
-  // Every rank computes the sum itself (deterministic rank-order
-  // accumulation, so all ranks agree bit-for-bit).
-  std::vector<double> out(contribution.size(), 0.0);
-  for (int r = 0; r < size(); ++r) {
-    const auto& c = slots[static_cast<std::size_t>(r)];
+  for (const auto& c : slots.reduce_in) {
     DSHUF_CHECK_EQ(c.size(), out.size(),
                    "allreduce contributions must have equal length");
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] += c[i];
   }
-  barrier();  // slots reusable after everyone has read
+  // This rank's slice, summed in rank order from 0.0 (the same additions,
+  // in the same order, on whichever rank owns an element).
+  const auto m = static_cast<std::size_t>(size());
+  const std::size_t lo = out.size() * me / m;
+  const std::size_t hi = out.size() * (me + 1) / m;
+  double* sum = out.data();
+  const double* first = slots.reduce_in[0].data();
+  for (std::size_t i = lo; i < hi; ++i) sum[i] = 0.0 + first[i];
+  for (std::size_t r = 1; r < m; ++r) {
+    const double* c = slots.reduce_in[r].data();
+    for (std::size_t i = lo; i < hi; ++i) sum[i] += c[i];
+  }
+  for (const auto& dst : slots.reduce_out) {
+    if (dst.data() != sum) {
+      std::copy(sum + lo, sum + hi, dst.data() + lo);
+    }
+  }
+  barrier();  // every slice written; contributions no longer read
   return out;
 }
 

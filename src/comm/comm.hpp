@@ -84,12 +84,16 @@ struct RequestState {
 /// Shared storage for the slot-and-barrier collectives. Both backends own
 /// one; the base Communicator implements every collective against it.
 struct CollectiveSlots {
-  std::vector<std::vector<double>> reduce;
+  // allreduce_sum: each rank's contribution and result, published for the
+  // duration of one call.
+  std::vector<std::span<const double>> reduce_in;
+  std::vector<std::span<double>> reduce_out;
   std::vector<std::vector<std::byte>> bcast;
   std::vector<std::vector<std::vector<std::byte>>> a2a;
 
   void init(int ranks) {
-    reduce.resize(static_cast<std::size_t>(ranks));
+    reduce_in.resize(static_cast<std::size_t>(ranks));
+    reduce_out.resize(static_cast<std::size_t>(ranks));
     bcast.resize(static_cast<std::size_t>(ranks));
     a2a.resize(static_cast<std::size_t>(ranks));
     for (auto& row : a2a) row.resize(static_cast<std::size_t>(ranks));
@@ -204,6 +208,9 @@ class Communicator {
   virtual void backoff(std::chrono::microseconds pause) = 0;
 
   /// Element-wise sum allreduce over doubles (gradient-exchange analogue).
+  /// A reduce-scatter over shared memory: each rank sums its 1/M slice of
+  /// the elements over all contributions in rank order (from 0.0) and
+  /// writes it into every rank's result, so all ranks agree bit-for-bit.
   std::vector<double> allreduce_sum(std::span<const double> contribution);
 
   /// Broadcast from root: root's payload is returned on every rank.

@@ -2,10 +2,58 @@
 
 #include <cstring>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "obs/clock.hpp"
 #include "obs/metrics.hpp"
 
 namespace dshuf::data {
+
+namespace {
+
+/// producer_cpus for the calling thread; empty when the OS cannot say.
+std::vector<int> producer_cpus_for_this_thread() {
+#if defined(__linux__)
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return {};
+  std::vector<int> allowed;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &mask)) allowed.push_back(c);
+  }
+  return producer_cpus(allowed, sched_getcpu());
+#else
+  return {};
+#endif
+}
+
+/// Bind the calling thread to `cpus`; a failed call leaves it unbound.
+void bind_this_thread(const std::vector<int>& cpus) {
+#if defined(__linux__)
+  if (cpus.empty()) return;
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  for (const int c : cpus) CPU_SET(static_cast<unsigned>(c), &mask);
+  pthread_setaffinity_np(pthread_self(), sizeof(mask), &mask);
+#else
+  (void)cpus;
+#endif
+}
+
+}  // namespace
+
+std::vector<int> producer_cpus(std::span<const int> allowed,
+                               int consumer_cpu) {
+  std::vector<int> out;
+  for (const int c : allowed) {
+    if (c != consumer_cpu) out.push_back(c);
+  }
+  if (out.empty() || out.size() == allowed.size()) return {};
+  return out;
+}
 
 BatchLoader::BatchLoader(const InMemoryDataset& dataset,
                          std::vector<SampleId> order, std::size_t batch_size,
@@ -16,7 +64,7 @@ BatchLoader::BatchLoader(const InMemoryDataset& dataset,
       prefetch_depth_(std::max<std::size_t>(1, prefetch_depth)),
       num_batches_(batch_size == 0 ? 0 : order_.size() / batch_size) {
   DSHUF_CHECK_GT(batch_size, 0U, "batch size must be positive");
-  producer_ = std::thread([this] { producer_loop(); });
+  start_producer();
 }
 
 BatchLoader::BatchLoader(const SampleSource& source, std::size_t feature_dim,
@@ -30,7 +78,16 @@ BatchLoader::BatchLoader(const SampleSource& source, std::size_t feature_dim,
       num_batches_(batch_size == 0 ? 0 : order_.size() / batch_size) {
   DSHUF_CHECK_GT(batch_size, 0U, "batch size must be positive");
   DSHUF_CHECK_GT(feature_dim, 0U, "feature dim must be positive");
-  producer_ = std::thread([this] { producer_loop(); });
+  start_producer();
+}
+
+void BatchLoader::start_producer() {
+  // Read on the consumer (this thread), applied by the producer before
+  // its first batch.
+  producer_ = std::thread([this, cpus = producer_cpus_for_this_thread()] {
+    bind_this_thread(cpus);
+    producer_loop();
+  });
 }
 
 BatchLoader::~BatchLoader() {

@@ -5,6 +5,13 @@
 // pipelining idea the paper's Fig. 4 applies to the sample exchange).
 // Drop-last semantics match the simulator / PyTorch defaults.
 //
+// The thread that constructs a loader is its consumer. The producer
+// starts on the constructing thread's allowed CPUs minus the CPU that
+// thread runs on at construction (see producer_cpus): the consumer's
+// notify_all otherwise tends to wake the producer onto the consumer's own
+// CPU, and the two take turns instead of overlapping. With one allowed
+// CPU, or where the affinity calls fail, the producer runs unbound.
+//
 // Two sample sources are supported:
 //   * an InMemoryDataset (rows gathered straight out of the feature
 //     matrix), or
@@ -20,6 +27,7 @@
 #include <deque>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -28,6 +36,13 @@
 #include "util/ranked_mutex.hpp"
 
 namespace dshuf::data {
+
+/// The CPUs a loader's producer binds to, given its consumer's allowed
+/// CPUs and the CPU the consumer runs on: `allowed` without
+/// `consumer_cpu`. Empty (no pin) when that leaves no CPU or does not
+/// shrink the set.
+[[nodiscard]] std::vector<int> producer_cpus(std::span<const int> allowed,
+                                             int consumer_cpu);
 
 class BatchLoader {
  public:
@@ -38,7 +53,8 @@ class BatchLoader {
   };
 
   /// `dataset` must outlive the loader. `prefetch_depth` bounds how many
-  /// batches the producer may run ahead.
+  /// batches the producer may run ahead. The calling thread becomes the
+  /// consumer (see the placement rule above).
   BatchLoader(const InMemoryDataset& dataset, std::vector<SampleId> order,
               std::size_t batch_size, std::size_t prefetch_depth = 2);
 
@@ -60,6 +76,7 @@ class BatchLoader {
   std::optional<Batch> next();
 
  private:
+  void start_producer();
   void producer_loop();
   [[nodiscard]] Batch assemble(std::size_t b) const;
 

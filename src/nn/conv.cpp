@@ -61,14 +61,13 @@ void Conv1d::forward_into(const Tensor& x, Tensor& y, bool /*training*/) {
   }
 }
 
-void Conv1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
+void Conv1d::backward_params_into(const Tensor& grad_out,
+                                  Tensor& /*grad_in*/) {
   DSHUF_CHECK(cached_in_ != nullptr, "Conv1d backward before forward");
   const std::size_t N = cached_batch_;
   DSHUF_CHECK_EQ(grad_out.rows(), N, "Conv1d grad batch mismatch");
   DSHUF_CHECK_EQ(grad_out.cols(), out_channels_ * length_,
                  "Conv1d grad feature mismatch");
-  grad_in.resize2(N, in_channels_ * length_);
-  grad_in.zero();
 
   const std::size_t nl = N * length_;
   const std::size_t ck = in_channels_ * kernel_;
@@ -100,8 +99,19 @@ void Conv1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   kernel::gemm_blocked(g_big.data(), cols.data(), weight_.grad.data(),
                        out_channels_, ck, nl, /*a_transposed=*/false,
                        /*b_transposed=*/true, /*accumulate=*/true);
+}
+
+void Conv1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
+  // Leaves this batch's dY in the GEMM layout in kGradBigSlot.
+  backward_params_into(grad_out, grad_in);
+  const std::size_t N = cached_batch_;
+  const std::size_t nl = N * length_;
+  const std::size_t ck = in_channels_ * kernel_;
+  grad_in.resize2(N, in_channels_ * length_);
+  grad_in.zero();
 
   // dcols = W^T * dY_big, then the adjoint scatter back to signal layout.
+  const Tensor& g_big = scratch(kGradBigSlot);
   Tensor& dcols = scratch(kDColsSlot);
   dcols.resize2(ck, nl);
   kernel::gemm_blocked(weight_.value.data(), g_big.data(), dcols.data(), ck,

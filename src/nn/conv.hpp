@@ -29,6 +29,7 @@ class Conv1d : public Layer {
 
   void forward_into(const Tensor& x, Tensor& y, bool training) override;
   void backward_into(const Tensor& grad_out, Tensor& grad_in) override;
+  void backward_params_into(const Tensor& grad_out, Tensor& grad_in) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   [[nodiscard]] std::string name() const override { return "Conv1d"; }
 

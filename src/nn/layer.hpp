@@ -54,6 +54,14 @@ class Layer {
   /// parameter gradients.
   virtual void backward_into(const Tensor& grad_out, Tensor& grad_in) = 0;
 
+  /// Backward as the model's first layer, whose dLoss/dInput no caller
+  /// reads: accumulates exactly the parameter gradients backward_into
+  /// would. Layers that can skip the input gradient override this and
+  /// leave `grad_in` untouched; the default computes it anyway.
+  virtual void backward_params_into(const Tensor& grad_out, Tensor& grad_in) {
+    backward_into(grad_out, grad_in);
+  }
+
   /// Convenience by-value wrappers over the _into core (these allocate).
   Tensor forward(const Tensor& x, bool training) {
     Tensor y;

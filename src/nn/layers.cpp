@@ -25,18 +25,23 @@ void Linear::forward_into(const Tensor& x, Tensor& y, bool /*training*/) {
   }
 }
 
-void Linear::backward_into(const Tensor& grad_out, Tensor& grad_in) {
+void Linear::backward_params_into(const Tensor& grad_out,
+                                  Tensor& /*grad_in*/) {
   DSHUF_CHECK(cached_in_ != nullptr, "Linear backward before forward");
   DSHUF_CHECK_EQ(grad_out.cols(), out_, "Linear grad feature mismatch");
   DSHUF_CHECK_EQ(grad_out.rows(), cached_in_->rows(),
                  "Linear grad batch mismatch");
-  // dW += X^T dY ; db += column-sum(dY) ; dX = dY W^T
+  // dW += X^T dY ; db += column-sum(dY)
   gemm_at_b(*cached_in_, grad_out, weight_.grad, /*accumulate=*/true);
   float* db = bias_.grad.data();
   for (std::size_t i = 0; i < grad_out.rows(); ++i) {
     const float* row = grad_out.data() + i * out_;
     for (std::size_t j = 0; j < out_; ++j) db[j] += row[j];
   }
+}
+
+void Linear::backward_into(const Tensor& grad_out, Tensor& grad_in) {
+  backward_params_into(grad_out, grad_in);
   grad_in.resize2(grad_out.rows(), in_);
   // weight is [in, out] = NxK as gemm_a_bt expects (N=in, K=out), so
   // dX(MxIn) = dY(MxOut) * W^T comes out directly.

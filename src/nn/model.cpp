@@ -50,9 +50,14 @@ const Tensor& Model::forward(const Tensor& x, bool training) {
 void Model::backward(const Tensor& grad_out) {
   const Tensor* g = &grad_out;
   int next_slot = kGradSlotA;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+  for (std::size_t i = layers_.size(); i-- > 0;) {
     Tensor& out = ws_.slot(nullptr, next_slot);
-    (*it)->backward_into(*g, out);
+    // Nobody reads dLoss/dx of the model's input.
+    if (i == 0) {
+      layers_[0]->backward_params_into(*g, out);
+    } else {
+      layers_[i]->backward_into(*g, out);
+    }
     g = &out;
     next_slot = next_slot == kGradSlotA ? kGradSlotB : kGradSlotA;
   }

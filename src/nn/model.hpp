@@ -38,7 +38,9 @@ class Model {
   /// model's workspace and stays valid until the next forward() call.
   const Tensor& forward(const Tensor& x, bool training);
 
-  /// Backward through all layers from dLoss/dOutput; accumulates gradients.
+  /// Backward through all layers from dLoss/dOutput; accumulates
+  /// parameter gradients. The first layer runs backward_params_into: the
+  /// gradient with respect to the model's input is not produced.
   void backward(const Tensor& grad_out);
 
   /// All trainable parameters in layer order (fresh copy of the cached

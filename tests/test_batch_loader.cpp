@@ -1,5 +1,8 @@
 #include "data/batch_loader.hpp"
 
+#include <sched.h>
+
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -141,6 +144,83 @@ TEST(BatchLoader, RespectsCustomOrder) {
   auto b1 = loader.next();
   ASSERT_TRUE(b1.has_value());
   EXPECT_EQ(b1->labels[0], ds.label(9));
+}
+
+TEST(ProducerCpus, DropsOnlyTheConsumersCpu) {
+  EXPECT_EQ(producer_cpus(std::vector<int>{0, 1}, 0), std::vector<int>{1});
+  EXPECT_EQ(producer_cpus(std::vector<int>{2, 3}, 3), std::vector<int>{2});
+  EXPECT_EQ(producer_cpus(std::vector<int>{0, 1, 2, 3}, 2),
+            (std::vector<int>{0, 1, 3}));
+}
+
+TEST(ProducerCpus, NoPinWhenNothingWouldChange) {
+  EXPECT_TRUE(producer_cpus(std::vector<int>{5}, 5).empty());  // one CPU
+  EXPECT_TRUE(producer_cpus(std::vector<int>{}, 0).empty());
+  // Consumer CPU unknown (sched_getcpu failed) or outside the mask.
+  EXPECT_TRUE(producer_cpus(std::vector<int>{0, 1}, -1).empty());
+  EXPECT_TRUE(producer_cpus(std::vector<int>{0, 1}, 7).empty());
+}
+
+std::vector<int> cpus_of(const cpu_set_t& mask) {
+  std::vector<int> cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+std::vector<int> this_thread_cpus() {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  EXPECT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  return cpus_of(mask);
+}
+
+void bind_this_thread(const std::vector<int>& cpus) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  for (const int c : cpus) CPU_SET(c, &mask);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(mask), &mask), 0);
+}
+
+// One-sample source (feature_dim 1) that records the CPUs its reader —
+// the loader's producer thread — is allowed to run on.
+class AffinityProbe final : public SampleSource {
+ public:
+  void read(SampleId /*id*/, ReadFn fn) const override {
+    reader_cpus_ = this_thread_cpus();
+    std::array<std::byte, sizeof(std::uint32_t) + sizeof(float)> payload{};
+    fn(payload);
+  }
+  std::size_t size() const override { return 1; }
+  bool contains(SampleId id) const override { return id == 0; }
+  std::vector<int> reader_cpus() const { return reader_cpus_; }
+
+ private:
+  mutable std::vector<int> reader_cpus_;
+};
+
+std::vector<int> producer_cpus_when_consumer_on(const std::vector<int>& cpus) {
+  bind_this_thread(cpus);
+  AffinityProbe probe;
+  BatchLoader loader(probe, 1, {0}, 1);
+  EXPECT_TRUE(loader.next().has_value());  // read happened before this
+  return probe.reader_cpus();
+}
+
+TEST(BatchLoader, ProducerRunsOffTheConsumersCpu) {
+  const std::vector<int> allowed = this_thread_cpus();
+  if (allowed.size() < 2) GTEST_SKIP() << "needs two allowed CPUs";
+  const std::vector<int> pair{allowed[0], allowed[1]};
+
+  // Two CPUs: the producer gets the one the consumer was not on.
+  const std::vector<int> two = producer_cpus_when_consumer_on(pair);
+  ASSERT_EQ(two.size(), 1U);
+  EXPECT_TRUE(two[0] == pair[0] || two[0] == pair[1]);
+  // One CPU: the producer inherits it unchanged.
+  EXPECT_EQ(producer_cpus_when_consumer_on({pair[0]}),
+            std::vector<int>{pair[0]});
+  bind_this_thread(allowed);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "allreduce_check.hpp"
 #include "util/error.hpp"
 
 namespace dshuf::comm {
@@ -151,6 +152,10 @@ TEST(Comm, AllreduceIsBitwiseIdenticalAcrossRanks) {
   });
   EXPECT_EQ(results[0], results[1]);
   EXPECT_EQ(results[1], results[2]);
+}
+
+TEST(Comm, AllreduceMatchesRankOrderSumBitForBit) {
+  allreduce_check::expect_rank_order_sums<World>();
 }
 
 TEST(Comm, BcastDistributesRootPayload) {

@@ -1,8 +1,11 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
 #include "nn/builder.hpp"
+#include "nn/conv.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
@@ -123,6 +126,64 @@ TEST(Model, ZeroGradAndScaleGrad) {
   }
   m.zero_grad();
   for (float v : m.gradients()) EXPECT_FLOAT_EQ(v, 0.0F);
+}
+
+std::vector<std::uint32_t> gradient_bits(Model& m) {
+  std::vector<std::uint32_t> out;
+  for (const float g : m.gradients()) {
+    out.push_back(std::bit_cast<std::uint32_t>(g));
+  }
+  return out;
+}
+
+// Model::backward skips dLoss/dx of the first layer; its parameter
+// gradients must equal a backward that runs every layer's full
+// backward_into, bit for bit, over two accumulated steps.
+void expect_first_layer_skip_is_exact(Model a, Model b, std::size_t in_dim) {
+  Rng data(11);
+  for (int step = 0; step < 2; ++step) {
+    const Tensor x = Tensor::randn({6, in_dim}, data);
+    const Tensor g = Tensor::randn({6, a.forward(x, true).cols()}, data);
+    a.backward(g);
+
+    b.forward(x, true);
+    Tensor grad = g;
+    const auto layers = b.layers();
+    for (auto it = layers.rbegin(); it != layers.rend(); ++it) {
+      grad = (*it)->backward(grad);
+    }
+    EXPECT_EQ(grad.rows(), 6U);  // the full path did produce dLoss/dx
+    EXPECT_EQ(gradient_bits(a), gradient_bits(b)) << "step " << step;
+  }
+}
+
+TEST(Model, FirstLayerSkipsInputGradientExactlyMlp) {
+  const MlpSpec spec{.input_dim = 5, .hidden = {16, 8}, .num_classes = 4};
+  Rng r1(21);
+  Rng r2(21);
+  expect_first_layer_skip_is_exact(make_mlp(spec, r1), make_mlp(spec, r2), 5);
+}
+
+TEST(Model, FirstLayerSkipsInputGradientExactlyConv1d) {
+  const CnnSpec spec{.input_length = 16, .channels = {4, 8}, .num_classes = 3};
+  Rng r1(22);
+  Rng r2(22);
+  expect_first_layer_skip_is_exact(make_cnn(spec, r1), make_cnn(spec, r2),
+                                   16);
+}
+
+TEST(Model, ParamsOnlyBackwardLeavesGradInUntouched) {
+  Rng rng(23);
+  Linear lin(4, 3, rng);
+  Conv1d conv(1, 2, 8, 3, rng);
+  const std::pair<Layer*, std::size_t> cases[] = {{&lin, 4}, {&conv, 8}};
+  for (const auto& [layer, in_dim] : cases) {
+    const Tensor x = Tensor::randn({2, in_dim}, rng);
+    const Tensor y = layer->forward(x, true);
+    Tensor untouched({1});
+    layer->backward_params_into(Tensor::randn({2, y.cols()}, rng), untouched);
+    EXPECT_EQ(untouched.size(), 1U) << layer->name();
+  }
 }
 
 TEST(Model, PopLayersRemovesHead) {

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "allreduce_check.hpp"
 #include "comm/fault.hpp"
 #include "obs/metrics.hpp"
 #include "shuffle/exchange_plan.hpp"
@@ -60,6 +61,10 @@ TEST(VirtualWorld, CollectivesMatchTheSharedImplementation) {
     EXPECT_DOUBLE_EQ(s[0], expect);
     EXPECT_DOUBLE_EQ(s[1], static_cast<double>(m));
   }
+}
+
+TEST(VirtualWorld, AllreduceMatchesRankOrderSumBitForBit) {
+  allreduce_check::expect_rank_order_sums<VirtualWorld>();
 }
 
 TEST(VirtualWorld, TransferTimeFollowsTheFlowModel) {
