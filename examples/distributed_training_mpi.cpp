@@ -1,6 +1,6 @@
 // Full data-parallel training on the message-passing substrate: M rank
 // threads, each with its own model replica and shard store, running
-//   per epoch:  PLS exchange (Algorithm 1 over isend/irecv)
+//   per epoch:  PLS exchange (Algorithm 1 over tagged send/recv)
 //   per step:   local forward/backward -> gradient allreduce -> SGD step
 // exactly like an MPI+PyTorch deployment of the paper's scheduler. The
 // replicas stay in lock-step because the allreduce is deterministic; rank
@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
          fmt_double(sw.seconds(), 1)});
   t.print(std::cout);
 
-  std::cout << "Every rank ran Algorithm 1 over real isend/irecv and a\n"
+  std::cout << "Every rank ran Algorithm 1 over real tagged send/recv and a\n"
                "deterministic gradient allreduce; identical final weights\n"
                "across replicas confirm the whole stack composes exactly\n"
                "like an MPI deployment of the paper's scheduler.\n";

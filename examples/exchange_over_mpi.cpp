@@ -5,8 +5,9 @@
 //
 // Each rank runs in its own thread with its own directory under a temp
 // root. Every epoch it (1) recomputes the shared-seed exchange plan,
-// (2) isends its picked samples' serialized bytes, (3) irecvs from
-// ANY_SOURCE, (4) saves received samples and removes transmitted ones.
+// (2) sends each peer one tagged frame of its picked samples' serialized
+// bytes, (3) receives the frame each peer owes it, (4) saves received
+// samples and removes transmitted ones.
 // Afterwards we verify conservation, per-rank balance, the on-disk
 // (1+Q)-capacity window, and payload integrity against the dataset.
 //

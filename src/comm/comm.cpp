@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <exception>
+#include <mutex>
 #include <thread>
 
 #include "comm/fault.hpp"
@@ -17,86 +19,14 @@ namespace dshuf::comm {
 
 namespace detail {
 
-/// Threaded-world request state: completion signalled across rank threads
-/// with a mutex + condvar pair.
-struct ThreadedRequestState final : RequestState {
-  RankedMutex mu{LockRank::kCommRequest, "comm.request"};
-  std::condition_variable_any cv;
-  bool done = false;
-  bool cancelled_flag = false;
-  Message msg;
-  // Abort flag shared with the world so waiters wake when a peer throws.
-  std::shared_ptr<std::atomic<bool>> aborted;
-
-  void complete(Message m) {
-    {
-      std::lock_guard<RankedMutex> lk(mu);
-      msg = std::move(m);
-      done = true;
-    }
-    cv.notify_all();
-  }
-
-  bool test() override {
-    std::lock_guard<RankedMutex> lk(mu);
-    return done;
-  }
-
-  void wait() override {
-    std::unique_lock<RankedMutex> lk(mu);
-    // Poll with a timeout so an aborted world (peer threw) wakes us even
-    // if the notification raced our wait registration.
-    while (!done) {
-      DSHUF_CHECK(!cancelled_flag, "wait() on a cancelled request");
-      DSHUF_CHECK(!(aborted && aborted->load(std::memory_order_seq_cst)),
-                  "world aborted while waiting on a request");
-      cv.wait_for(lk, std::chrono::milliseconds(50));
-    }
-  }
-
-  bool wait_for(std::chrono::microseconds timeout) override {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    std::unique_lock<RankedMutex> lk(mu);
-    while (!done) {
-      DSHUF_CHECK(!cancelled_flag, "wait_for() on a cancelled request");
-      DSHUF_CHECK(!(aborted && aborted->load(std::memory_order_seq_cst)),
-                  "world aborted while waiting on a request");
-      const auto now = std::chrono::steady_clock::now();
-      if (now >= deadline) return false;
-      // Cap each sleep so an abort can never be missed for long.
-      const auto slice = std::min<std::chrono::steady_clock::duration>(
-          deadline - now, std::chrono::milliseconds(50));
-      cv.wait_for(lk, slice);
-    }
-    return true;
-  }
-
-  bool cancelled() override {
-    std::lock_guard<RankedMutex> lk(mu);
-    return cancelled_flag;
-  }
-
-  const Message& message() override {
-    std::lock_guard<RankedMutex> lk(mu);
-    DSHUF_CHECK(done, "message() before completion");
-    return msg;
-  }
-};
-
-struct PendingRecv {
-  int source = kAnySource;
-  int tag = kAnyTag;
-  std::shared_ptr<ThreadedRequestState> state;
-};
-
-// Queues are RingQueues, not deques: libstdc++'s deque churns heap nodes
-// under steady push/pop, which would break the zero-allocation exchange
-// steady state. `cv` wakes blocking recv() when a message is queued.
+// The queue is a RingQueue, not a deque: libstdc++'s deque churns heap
+// nodes under steady push/pop, which would break the zero-allocation
+// exchange steady state. `cv` wakes blocking recv() when a message is
+// queued.
 struct RankMailbox {
   RankedMutex mu{LockRank::kCommMailbox, "comm.mailbox"};
   std::condition_variable_any cv;
   RingQueue<Message> arrived;
-  RingQueue<PendingRecv> pending;
 };
 
 class WorldState {
@@ -104,8 +34,7 @@ class WorldState {
   explicit WorldState(int num_ranks)
       : size_(num_ranks),
         mailboxes_(static_cast<std::size_t>(num_ranks)),
-        pools_(static_cast<std::size_t>(num_ranks)),
-        aborted_(std::make_shared<std::atomic<bool>>(false)) {
+        pools_(static_cast<std::size_t>(num_ranks)) {
     DSHUF_CHECK_GT(num_ranks, 0, "world needs at least one rank");
     DSHUF_CHECK_LE(num_ranks, kMaxThreadedRanks,
                    "a threaded World of "
@@ -132,13 +61,21 @@ class WorldState {
     return pools_[static_cast<std::size_t>(rank)];
   }
 
-  /// Final delivery into `dest`'s mailbox: match a parked receive or queue
-  /// the message. Called from sender threads and the injector timer thread.
-  void deposit(int dest, Message msg);
+  /// Final delivery into `dest`'s mailbox: queue the message and wake a
+  /// blocking recv(). Called from sender threads and the injector timer
+  /// thread.
+  void deposit(int dest, Message msg) {
+    auto& mb = mailbox(dest);
+    {
+      std::lock_guard<RankedMutex> lk(mb.mu);
+      mb.arrived.push_back(std::move(msg));
+    }
+    mb.cv.notify_all();
+  }
 
   /// Route a send: through the fault injector when one is installed,
   /// otherwise straight to deposit().
-  void send(int source, int dest, Message msg) {
+  void route(int source, int dest, Message msg) {
     if (injector_) {
       injector_->submit(source, dest, std::move(msg));
     } else {
@@ -171,32 +108,35 @@ class WorldState {
   }
   void end_run() { running_ = false; }
 
-  std::shared_ptr<std::atomic<bool>> aborted_flag() { return aborted_; }
   [[nodiscard]] bool is_aborted() const {
-    return aborted_->load(std::memory_order_seq_cst);
+    return aborted_.load(std::memory_order_seq_cst);
   }
   void abort() {
     {
       // The flag must flip under barrier_mu_: a rank between evaluating
       // the barrier predicate and blocking would otherwise miss this
-      // notify and sleep forever (the barrier wait, unlike request/recv
-      // waits, has no poll timeout to rescue it).
+      // notify and sleep forever (the barrier wait, unlike the recv wait,
+      // has no poll timeout to rescue it).
       std::lock_guard<RankedMutex> lk(barrier_mu_);
-      aborted_->store(true, std::memory_order_seq_cst);
+      aborted_.store(true, std::memory_order_seq_cst);
     }
     barrier_cv_.notify_all();
-    // Wake any parked receive requests and any blocking recv() waiter.
+    for (auto& mb : mailboxes_) mb.cv.notify_all();  // blocking recv()s
+  }
+  void reset_abort() { aborted_.store(false, std::memory_order_seq_cst); }
+
+  /// After an aborted run the ranks have unwound: nothing will finish the
+  /// barrier they entered or take what is left in their mailboxes.
+  void discard_aborted_run() {
+    {
+      std::lock_guard<RankedMutex> lk(barrier_mu_);
+      barrier_count_ = 0;
+    }
     for (auto& mb : mailboxes_) {
-      {
-        std::lock_guard<RankedMutex> lk(mb.mu);
-        for (std::size_t i = 0; i < mb.pending.size(); ++i) {
-          mb.pending[i].state->cv.notify_all();
-        }
-      }
-      mb.cv.notify_all();
+      std::lock_guard<RankedMutex> lk(mb.mu);
+      mb.arrived.clear();
     }
   }
-  void reset_abort() { aborted_->store(false, std::memory_order_seq_cst); }
 
   void barrier() {
     std::unique_lock<RankedMutex> lk(barrier_mu_);
@@ -214,8 +154,8 @@ class WorldState {
 
   CollectiveSlots& slots() { return slots_; }
 
-  /// Verify clean shutdown: no stray messages or dangling receives, and no
-  /// message still parked inside the fault injector.
+  /// Verify clean shutdown: no stray messages, and no message still parked
+  /// inside the fault injector.
   void check_drained() {
     // The timer thread may still be mid-deposit for a message a rank
     // already consumed; settle that before judging leftovers.
@@ -231,9 +171,6 @@ class WorldState {
       DSHUF_CHECK(mb.arrived.empty(),
                   "rank " << r << " finished with " << mb.arrived.size()
                           << " unreceived message(s)");
-      DSHUF_CHECK(mb.pending.empty(),
-                  "rank " << r << " finished with " << mb.pending.size()
-                          << " unmatched irecv(s)");
     }
   }
 
@@ -249,44 +186,27 @@ class WorldState {
 
   CollectiveSlots slots_;
 
-  std::shared_ptr<std::atomic<bool>> aborted_;
+  std::atomic<bool> aborted_{false};
   std::unique_ptr<FaultInjector> injector_;
   bool running_ = false;
 };
 
 namespace {
 
-bool matches(const PendingRecv& want, int source, int tag) {
-  return (want.source == kAnySource || want.source == source) &&
-         (want.tag == kAnyTag || want.tag == tag);
-}
-
-bool matches_msg(int want_source, int want_tag, const Message& m) {
-  return (want_source == kAnySource || want_source == m.source) &&
-         (want_tag == kAnyTag || want_tag == m.tag);
+/// Takes the earliest-arrived message matching (source, tag), if any.
+std::optional<Message> take_match(RingQueue<Message>& arrived, int source,
+                                  int tag) {
+  for (std::size_t i = 0; i < arrived.size(); ++i) {
+    const Message& m = arrived[i];
+    if ((source == kAnySource || source == m.source) &&
+        (tag == kAnyTag || tag == m.tag)) {
+      return arrived.take(i);
+    }
+  }
+  return std::nullopt;
 }
 
 }  // namespace
-
-void WorldState::deposit(int dest, Message msg) {
-  auto& mb = mailbox(dest);
-  std::shared_ptr<ThreadedRequestState> matched;
-  {
-    std::lock_guard<RankedMutex> lk(mb.mu);
-    for (std::size_t i = 0; i < mb.pending.size(); ++i) {
-      if (matches(mb.pending[i], msg.source, msg.tag)) {
-        matched = mb.pending.take(i).state;
-        break;
-      }
-    }
-    if (!matched) mb.arrived.push_back(std::move(msg));
-  }
-  if (matched) {
-    matched->complete(std::move(msg));
-  } else {
-    mb.cv.notify_all();  // wake a blocking recv() scanning `arrived`
-  }
-}
 
 /// The ranks-as-threads endpoint over WorldState. Internal to this TU: the
 /// only way to get one is through World::run.
@@ -297,17 +217,6 @@ class ThreadedCommunicator final : public Communicator {
 
   [[nodiscard]] int size() const override { return world_->size(); }
 
-  Request isend(int dest, int tag, std::vector<std::byte> payload) override {
-    // Buffered send: locally complete (even a dropped message "completes"
-    // — exactly the guarantee a buffered MPI_Isend gives over a lossy
-    // fabric).
-    auto state = std::make_shared<ThreadedRequestState>();
-    state->aborted = world_->aborted_flag();
-    send(dest, tag, std::move(payload));
-    state->done = true;
-    return make_request(std::move(state));
-  }
-
   void send(int dest, int tag, std::vector<std::byte> payload) override {
     DSHUF_CHECK(dest >= 0 && dest < size(), "send destination out of range");
     Message msg;
@@ -316,51 +225,16 @@ class ThreadedCommunicator final : public Communicator {
     msg.payload = std::move(payload);
     DSHUF_COUNTER("comm.isend").add();
     DSHUF_COUNTER("comm.bytes_sent").add(msg.payload.size());
-    world_->send(rank_, dest, std::move(msg));
-  }
-
-  Request irecv(int source, int tag) override {
-    DSHUF_CHECK(source == kAnySource || (source >= 0 && source < size()),
-                "irecv source out of range");
-    auto state = std::make_shared<ThreadedRequestState>();
-    state->aborted = world_->aborted_flag();
-
-    auto& mb = world_->mailbox(rank_);
-    bool completed = false;
-    Message found;
-    {
-      std::lock_guard<RankedMutex> lk(mb.mu);
-      for (std::size_t i = 0; i < mb.arrived.size(); ++i) {
-        if (matches_msg(source, tag, mb.arrived[i])) {
-          found = mb.arrived.take(i);
-          completed = true;
-          break;
-        }
-      }
-      if (!completed) {
-        mb.pending.push_back(PendingRecv{source, tag, state});
-      }
-    }
-    if (completed) state->complete(std::move(found));
-    return make_request(std::move(state));
+    world_->route(rank_, dest, std::move(msg));
   }
 
   Message recv(int source, int tag) override {
-    // Scan-and-wait over the mailbox directly, not irecv + wait: a
-    // blocking receive needs no Request object, so the exchange's steady
-    // state can receive without allocating. Earlier-posted irecvs still
-    // win — deposit matches parked receives before queueing into
-    // `arrived`.
     DSHUF_CHECK(source == kAnySource || (source >= 0 && source < size()),
                 "recv source out of range");
     auto& mb = world_->mailbox(rank_);
     std::unique_lock<RankedMutex> lk(mb.mu);
     for (;;) {
-      for (std::size_t i = 0; i < mb.arrived.size(); ++i) {
-        if (matches_msg(source, tag, mb.arrived[i])) {
-          return mb.arrived.take(i);
-        }
-      }
+      if (auto m = take_match(mb.arrived, source, tag)) return std::move(*m);
       DSHUF_CHECK(!world_->is_aborted(), "world aborted while in recv");
       // Poll with a timeout so an aborted world (peer threw) wakes us even
       // if the notification raced our wait registration.
@@ -371,27 +245,7 @@ class ThreadedCommunicator final : public Communicator {
   std::optional<Message> poll(int source, int tag) override {
     auto& mb = world_->mailbox(rank_);
     std::lock_guard<RankedMutex> lk(mb.mu);
-    for (std::size_t i = 0; i < mb.arrived.size(); ++i) {
-      if (matches_msg(source, tag, mb.arrived[i])) {
-        return mb.arrived.take(i);
-      }
-    }
-    return std::nullopt;
-  }
-
-  bool cancel(Request& request) override {
-    DSHUF_CHECK(request.valid(), "cancel() on an empty request");
-    auto& mb = world_->mailbox(rank_);
-    std::lock_guard<RankedMutex> lk(mb.mu);
-    for (std::size_t i = 0; i < mb.pending.size(); ++i) {
-      if (mb.pending[i].state == request_state(request)) {
-        auto state = mb.pending.take(i).state;
-        std::lock_guard<RankedMutex> slk(state->mu);
-        state->cancelled_flag = true;
-        return true;
-      }
-    }
-    return false;  // already matched (or a send request) — nothing to cancel
+    return take_match(mb.arrived, source, tag);
   }
 
   [[nodiscard]] BufferPool& pool() override { return world_->pool(rank_); }
@@ -429,45 +283,6 @@ class ThreadedCommunicator final : public Communicator {
 
 }  // namespace detail
 
-bool Request::test() const {
-  DSHUF_CHECK(state_ != nullptr, "test() on an empty request");
-  return state_->test();
-}
-
-void Request::wait() {
-  DSHUF_CHECK(state_ != nullptr, "wait() on an empty request");
-  state_->wait();
-}
-
-bool Request::wait_for(std::chrono::microseconds timeout) {
-  DSHUF_CHECK(state_ != nullptr, "wait_for() on an empty request");
-  return state_->wait_for(timeout);
-}
-
-bool Request::cancelled() const {
-  DSHUF_CHECK(state_ != nullptr, "cancelled() on an empty request");
-  return state_->cancelled();
-}
-
-const Message& Request::message() const {
-  DSHUF_CHECK(state_ != nullptr, "message() on an empty request");
-  return state_->message();
-}
-
-void wait_all(std::span<Request> requests) {
-  for (auto& r : requests) r.wait();
-}
-
-std::optional<Message> Communicator::recv_for(
-    int source, int tag, std::chrono::microseconds timeout) {
-  Request r = irecv(source, tag);
-  if (r.wait_for(timeout)) return r.message();
-  if (cancel(r)) return std::nullopt;
-  // The message arrived between the timeout and the cancel: take it.
-  r.wait();
-  return r.message();
-}
-
 std::vector<double> Communicator::allreduce_sum(
     std::span<const double> contribution) {
   auto& slots = collective_slots();
@@ -501,72 +316,19 @@ std::vector<double> Communicator::allreduce_sum(
   return out;
 }
 
-std::vector<std::byte> Communicator::bcast(int root,
-                                           std::vector<std::byte> payload) {
-  DSHUF_CHECK(root >= 0 && root < size(), "bcast root out of range");
-  auto& slots = collective_slots().bcast;
-  if (rank_ == root) {
-    slots[static_cast<std::size_t>(root)] = std::move(payload);
-  }
-  barrier();
-  std::vector<std::byte> out = slots[static_cast<std::size_t>(root)];
-  barrier();
-  return out;
-}
-
-std::vector<std::vector<std::byte>> Communicator::alltoallv(
-    std::vector<std::vector<std::byte>> send_per_dest) {
-  DSHUF_CHECK_EQ(send_per_dest.size(), static_cast<std::size_t>(size()),
-                 "alltoallv needs one buffer per destination");
-  auto& slots = collective_slots().a2a;
-  slots[static_cast<std::size_t>(rank_)] = std::move(send_per_dest);
-  barrier();
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(size()));
-  for (int src = 0; src < size(); ++src) {
-    out[static_cast<std::size_t>(src)] =
-        slots[static_cast<std::size_t>(src)][static_cast<std::size_t>(rank_)];
-  }
-  barrier();
-  return out;
-}
-
-std::vector<std::vector<std::byte>> Communicator::gather(
-    int root, std::vector<std::byte> payload) {
-  DSHUF_CHECK(root >= 0 && root < size(), "gather root out of range");
-  // Express over alltoallv: everyone sends to root only.
-  std::vector<std::vector<std::byte>> send(static_cast<std::size_t>(size()));
-  send[static_cast<std::size_t>(root)] = std::move(payload);
-  auto received = alltoallv(std::move(send));
-  if (rank_ != root) return {};
-  return received;
-}
-
 std::vector<std::vector<std::byte>> Communicator::allgather(
     std::vector<std::byte> payload) {
-  std::vector<std::vector<std::byte>> send(static_cast<std::size_t>(size()));
-  for (auto& s : send) s = payload;
-  return alltoallv(std::move(send));
-}
-
-std::vector<double> Communicator::reduce_sum(
-    int root, std::span<const double> contribution) {
-  DSHUF_CHECK(root >= 0 && root < size(), "reduce root out of range");
-  auto sum = allreduce_sum(contribution);
-  if (rank_ != root) return {};
-  return sum;
-}
-
-std::vector<std::byte> Communicator::scatter(
-    int root, std::vector<std::vector<std::byte>> per_dest) {
-  DSHUF_CHECK(root >= 0 && root < size(), "scatter root out of range");
-  std::vector<std::vector<std::byte>> send(static_cast<std::size_t>(size()));
-  if (rank_ == root) {
-    DSHUF_CHECK_EQ(per_dest.size(), static_cast<std::size_t>(size()),
-                   "scatter needs one payload per destination");
-    send = std::move(per_dest);
+  auto& slots = collective_slots().gather;
+  const auto me = static_cast<std::size_t>(rank_);
+  slots[me] = std::move(payload);
+  barrier();
+  std::vector<std::vector<std::byte>> out(slots.size());
+  for (std::size_t r = 0; r < slots.size(); ++r) {
+    if (r != me) out[r] = slots[r];
   }
-  auto received = alltoallv(std::move(send));
-  return std::move(received[static_cast<std::size_t>(root)]);
+  barrier();  // every copy taken; this rank's own slot is free to move out
+  out[me] = std::move(slots[me]);
+  return out;
 }
 
 World::World(int num_ranks)
@@ -614,7 +376,10 @@ void World::run(const std::function<void(Communicator&)>& body) {
   state_->end_run();
 
   for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
+    if (e) {
+      state_->discard_aborted_run();
+      std::rethrow_exception(e);
+    }
   }
   state_->check_drained();
 }

@@ -1,29 +1,26 @@
 // In-process MPI-like communicator.
 //
-// The paper's exchange (Algorithm 1) is written against MPI point-to-point
-// semantics: MPI_Isend / MPI_Irecv with tags, MPI_ANY_SOURCE, and
-// wait-for-all completion. This module provides exactly those semantics
-// with ranks as threads in one process:
+// The paper's exchange (Algorithm 1) needs tagged point-to-point messages
+// with MPI_ANY_SOURCE matching. This module provides exactly those
+// semantics with ranks as threads in one process:
 //
 //   comm::World world(M);
 //   world.run([](comm::Communicator& c) {
-//     auto s = c.isend(dest, tag, bytes);
-//     auto r = c.irecv(comm::kAnySource, tag);
-//     r.wait();                // message now in r.message()
+//     c.send(dest, tag, bytes);
+//     comm::Message m = c.recv(comm::kAnySource, tag);  // blocks
 //   });
 //
-// Sends are buffered ("eager"): isend deposits the message into the
-// destination inbox and completes locally, matching the completion
-// semantics training code can rely on from a buffered MPI_Isend. Receives
-// match by (source, tag) with wildcards, in arrival order (non-overtaking
-// per source, like MPI).
+// Sends are buffered ("eager"): send deposits the message into the
+// destination inbox and returns, the completion semantics of a buffered
+// MPI send. Receives match by (source, tag) with wildcards, in arrival
+// order (non-overtaking per source, like MPI).
 //
 // A World can additionally run with deterministic fault injection (see
 // comm/fault.hpp): install a seeded FaultPlan with set_fault_plan() and
 // every point-to-point delivery may be delayed, reordered, duplicated,
-// dropped, or stalled — reproducibly. Timeout-aware receives
-// (Request::wait_for, Communicator::recv_for/poll/cancel) and the fence
-// primitive exist so protocols can survive that regime.
+// dropped, or stalled — reproducibly. Protocols survive that regime by
+// polling (poll), backing off on the communicator's clock (now_us,
+// backoff) and fencing in-flight deliveries (fence_faults).
 //
 // Communicator itself is an abstract endpoint: the threaded World above is
 // one backend (one OS thread per rank), and netsim::VirtualWorld is the
@@ -35,12 +32,10 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -69,73 +64,27 @@ struct Message {
 
 namespace detail {
 
-/// Backend-specific completion state behind a Request. The threaded world
-/// implements it with a mutex + condvar; the virtual world with fiber
-/// suspension. Callers only ever touch it through Request.
-struct RequestState {
-  virtual ~RequestState() = default;
-  [[nodiscard]] virtual bool test() = 0;
-  virtual void wait() = 0;
-  virtual bool wait_for(std::chrono::microseconds timeout) = 0;
-  [[nodiscard]] virtual bool cancelled() = 0;
-  [[nodiscard]] virtual const Message& message() = 0;
-};
-
-/// Shared storage for the slot-and-barrier collectives. Both backends own
-/// one; the base Communicator implements every collective against it.
+/// Shared storage for the slot-and-barrier collectives, one slot per rank
+/// per collective. Both backends own one; the base Communicator implements
+/// every collective against it.
 struct CollectiveSlots {
   // allreduce_sum: each rank's contribution and result, published for the
   // duration of one call.
   std::vector<std::span<const double>> reduce_in;
   std::vector<std::span<double>> reduce_out;
-  std::vector<std::vector<std::byte>> bcast;
-  std::vector<std::vector<std::vector<std::byte>>> a2a;
+  // allgather: each rank's payload, published for the duration of one call.
+  std::vector<std::vector<std::byte>> gather;
 
   void init(int ranks) {
     reduce_in.resize(static_cast<std::size_t>(ranks));
     reduce_out.resize(static_cast<std::size_t>(ranks));
-    bcast.resize(static_cast<std::size_t>(ranks));
-    a2a.resize(static_cast<std::size_t>(ranks));
-    for (auto& row : a2a) row.resize(static_cast<std::size_t>(ranks));
+    gather.resize(static_cast<std::size_t>(ranks));
   }
 };
 
 class WorldState;
 
 }  // namespace detail
-
-/// Handle to a pending non-blocking operation. Copyable (shared state).
-class Request {
- public:
-  Request() = default;
-
-  /// True once the operation has completed (non-blocking probe).
-  [[nodiscard]] bool test() const;
-  /// Block until complete.
-  void wait();
-  /// Block until complete or `timeout` elapses; true iff completed. A
-  /// false return leaves the request live — pair with Communicator::cancel
-  /// to retire it (or keep waiting). Timeouts are measured on the
-  /// backend's clock: wall time under the threaded world, virtual time
-  /// under the event-driven one.
-  bool wait_for(std::chrono::microseconds timeout);
-  /// The received message; only valid for completed receive requests.
-  [[nodiscard]] const Message& message() const;
-
-  /// True once Communicator::cancel retired this request.
-  [[nodiscard]] bool cancelled() const;
-
-  [[nodiscard]] bool valid() const { return state_ != nullptr; }
-
- private:
-  friend class Communicator;
-  explicit Request(std::shared_ptr<detail::RequestState> s)
-      : state_(std::move(s)) {}
-  std::shared_ptr<detail::RequestState> state_;
-};
-
-/// Wait for every request in the span (MPI_Waitall).
-void wait_all(std::span<Request> requests);
 
 /// Per-rank endpoint (abstract). Not thread-safe across ranks by design:
 /// each rank's thread/fiber owns its Communicator.
@@ -148,39 +97,20 @@ class Communicator {
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] virtual int size() const = 0;
 
-  /// Buffered non-blocking send. Completes immediately after enqueuing at
-  /// the destination; the returned request is for interface parity.
-  virtual Request isend(int dest, int tag, std::vector<std::byte> payload) = 0;
-
-  /// Buffered send without a completion handle. Identical delivery
-  /// semantics to isend (which is buffered and completes locally anyway),
-  /// minus the per-call Request allocation — the exchange hot path uses
-  /// this together with pool() so a steady-state send touches no heap.
+  /// Buffered send: enqueues at the destination and returns (even a
+  /// message the fault plan drops "completes"). Pair with pool() so a
+  /// steady-state send touches no heap.
   virtual void send(int dest, int tag, std::vector<std::byte> payload) = 0;
 
-  /// Non-blocking receive matching (source, tag); kAnySource / kAnyTag
-  /// wildcards allowed. Matches already-arrived messages first, otherwise
-  /// parks until a matching message arrives.
-  virtual Request irecv(int source, int tag) = 0;
-
-  /// Blocking receive convenience.
+  /// Blocking receive matching (source, tag); kAnySource / kAnyTag
+  /// wildcards allowed. Takes the earliest-arrived matching message,
+  /// otherwise waits until one arrives.
   virtual Message recv(int source, int tag) = 0;
 
-  /// Receive with a deadline: returns the message, or nullopt if nothing
-  /// matching arrived within `timeout` (the posted receive is retired, so
-  /// a later arrival stays in the mailbox for the next receive).
-  std::optional<Message> recv_for(int source, int tag,
-                                  std::chrono::microseconds timeout);
-
-  /// Non-blocking probe-and-take: pops an already-arrived matching message
-  /// without posting a receive. Used to drain stray/duplicate messages.
+  /// Non-blocking probe-and-take: pops an already-arrived matching message,
+  /// or returns nullopt without waiting. Retry loops and stray/duplicate
+  /// drains are built on this.
   virtual std::optional<Message> poll(int source, int tag) = 0;
-
-  /// Retire a pending (unmatched) receive request — MPI_Cancel analogue.
-  /// Returns true if the request was still unmatched and is now cancelled;
-  /// false if it already completed (the message is available) or it was a
-  /// send request.
-  virtual bool cancel(Request& request) = 0;
 
   /// True when the World runs with an installed fault plan. Fault-oblivious
   /// protocols check this to refuse running over a lossy world.
@@ -208,34 +138,13 @@ class Communicator {
   virtual void backoff(std::chrono::microseconds pause) = 0;
 
   /// Element-wise sum allreduce over doubles (gradient-exchange analogue).
-  /// A reduce-scatter over shared memory: each rank sums its 1/M slice of
-  /// the elements over all contributions in rank order (from 0.0) and
-  /// writes it into every rank's result, so all ranks agree bit-for-bit.
+  /// Through shared memory, each rank sums its 1/M slice of the elements
+  /// over all contributions in rank order (from 0.0) and writes it into
+  /// every rank's result, so all ranks agree bit-for-bit.
   std::vector<double> allreduce_sum(std::span<const double> contribution);
-
-  /// Broadcast from root: root's payload is returned on every rank.
-  std::vector<std::byte> bcast(int root, std::vector<std::byte> payload);
-
-  /// Personalised all-to-all: send_per_dest[d] goes to rank d; returns the
-  /// vector received from each source rank (index = source).
-  std::vector<std::vector<std::byte>> alltoallv(
-      std::vector<std::vector<std::byte>> send_per_dest);
-
-  /// Gather every rank's payload at `root` (indexed by source). Non-root
-  /// ranks receive an empty vector.
-  std::vector<std::vector<std::byte>> gather(int root,
-                                             std::vector<std::byte> payload);
 
   /// All ranks receive every rank's payload (indexed by source).
   std::vector<std::vector<std::byte>> allgather(std::vector<std::byte> payload);
-
-  /// Element-wise double sum delivered only at `root`; other ranks get an
-  /// empty vector.
-  std::vector<double> reduce_sum(int root, std::span<const double> contribution);
-
-  /// Root distributes per_dest[d] to rank d; returns this rank's share.
-  std::vector<std::byte> scatter(int root,
-                                 std::vector<std::vector<std::byte>> per_dest);
 
   /// This rank's payload-buffer pool (see comm/buffer_pool.hpp). Only the
   /// owning rank's thread may touch it; buffers released here came either
@@ -246,19 +155,6 @@ class Communicator {
 
  protected:
   explicit Communicator(int rank) : rank_(rank) {}
-
-  /// Derived backends mint Requests through this (the ctor is private to
-  /// keep the shared-state plumbing out of user hands).
-  static Request make_request(std::shared_ptr<detail::RequestState> s) {
-    return Request(std::move(s));
-  }
-
-  /// Backend-side view of a Request's shared state (friendship does not
-  /// extend to derived backends, so they unwrap through here).
-  [[nodiscard]] static const std::shared_ptr<detail::RequestState>&
-  request_state(const Request& r) {
-    return r.state_;
-  }
 
   /// Storage the base-class collectives stage through. Every collective is
   /// slots + two barriers with deterministic rank-order accumulation, so

@@ -3,7 +3,7 @@
 // The real PLS exchange runs over imperfect interconnects: messages are
 // delayed, reordered across sources, duplicated by retransmission layers,
 // dropped by lossy transports, and whole nodes stall under OS jitter. The
-// stock `comm::World` delivers every isend instantly and in order, so none
+// stock `comm::World` delivers every send instantly and in order, so none
 // of the exchange's robustness machinery is ever exercised. This module
 // adds a fault layer the World consults on every point-to-point delivery:
 //
@@ -17,7 +17,7 @@
 // of (fault seed, source, dest, tag, per-link attempt counter) via the
 // deterministic Rng::fork stream derivation — re-running with the same
 // seed reproduces the exact same fault schedule regardless of thread
-// interleaving. Collectives (barrier/allreduce/allgather/...) use the
+// interleaving. Collectives (barrier/allreduce/allgather) use the
 // World's slot-and-barrier path and are deliberately NOT faulted: they
 // model the small, reliable control plane (TCP rendezvous) that real
 // deployments keep alongside the lossy bulk-data plane. Loopback
@@ -100,7 +100,7 @@ class FaultPlan {
 
 /// Applies a FaultPlan to a stream of deliveries. Owns a timer thread that
 /// deposits delayed messages when they come due. The World installs one of
-/// these and routes every isend through submit().
+/// these and routes every send through submit().
 class FaultInjector {
  public:
   /// `deliver` deposits a message into the destination mailbox (supplied

@@ -53,9 +53,6 @@ bool matches_msg(int want_source, int want_tag, const comm::Message& m) {
 
 }  // namespace
 
-class VirtualWorldState;
-struct VirtualRequestState;
-
 /// One virtual rank: a ucontext fiber plus the thread-local state (log
 /// context, trace track) that must travel with the logical rank rather
 /// than the OS thread all fibers share.
@@ -75,32 +72,14 @@ struct Fiber {
 #endif
 };
 
-/// Fiber-world request state. Single-threaded by construction, so no
-/// locks: completion flips `done` and wakes the owning fiber.
-struct VirtualRequestState final : comm::detail::RequestState {
-  VirtualWorldState* w = nullptr;
-  int owner = -1;  // rank whose mailbox the receive is parked in
-  int source = comm::kAnySource;
-  int tag = comm::kAnyTag;
-  bool done = false;
-  bool cancelled_flag = false;
-  comm::Message msg;
-
-  bool test() override { return done; }
-  void wait() override;
-  bool wait_for(std::chrono::microseconds timeout) override;
-  bool cancelled() override { return cancelled_flag; }
-  const comm::Message& message() override {
-    DSHUF_CHECK(done, "message() before completion");
-    return msg;
-  }
-};
-
 struct VMailbox {
   std::deque<comm::Message> arrived;
-  // Unmatched receives in post order (deposit matches oldest-first,
-  // mirroring the threaded mailbox's pending queue).
-  std::vector<std::shared_ptr<VirtualRequestState>> parked;
+  // The owning rank's blocked recv(), if any: deposit hands the first
+  // matching message straight to `handed` and wakes the rank.
+  bool waiting = false;
+  int want_source = comm::kAnySource;
+  int want_tag = comm::kAnyTag;
+  std::optional<comm::Message> handed;
 };
 
 class VirtualWorldState {
@@ -175,9 +154,8 @@ class VirtualWorldState {
   // ---- fiber-side primitives (called from rank fibers) ----
 
   void send_from(int src, int dest, comm::Message msg);
-  comm::Request post_irecv(int rank, int source, int tag);
+  comm::Message recv_on(int rank, int source, int tag);
   std::optional<comm::Message> poll_on(int rank, int source, int tag);
-  bool cancel_on(int rank, comm::Request& request);
   void barrier_on_fiber();
   void fence_on_fiber();
   void backoff_on_fiber(std::chrono::microseconds pause);
@@ -311,25 +289,6 @@ extern "C" void dshuf_fiber_trampoline() { g_running_world->fiber_entry(); }
 
 }  // namespace
 
-void VirtualRequestState::wait() {
-  while (!done) {
-    DSHUF_CHECK(!cancelled_flag, "wait() on a cancelled request");
-    w->block("request wait");
-  }
-}
-
-bool VirtualRequestState::wait_for(std::chrono::microseconds timeout) {
-  const std::uint64_t deadline =
-      w->now_us() +
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, timeout.count()));
-  while (!done) {
-    DSHUF_CHECK(!cancelled_flag, "wait_for() on a cancelled request");
-    if (w->now_us() >= deadline) return false;
-    w->block_until(deadline, "request wait_for");
-  }
-  return true;
-}
-
 /// The fiber-rank endpoint over VirtualWorldState. Internal to this TU:
 /// the only way to get one is through VirtualWorld::run.
 class VirtualCommunicator final : public comm::Communicator {
@@ -338,17 +297,6 @@ class VirtualCommunicator final : public comm::Communicator {
       : Communicator(rank), w_(w) {}
 
   [[nodiscard]] int size() const override { return w_->size(); }
-
-  comm::Request isend(int dest, int tag,
-                      std::vector<std::byte> payload) override {
-    send(dest, tag, std::move(payload));
-    // Buffered send: locally complete, like the threaded backend (even a
-    // dropped message "completes").
-    auto state = std::make_shared<VirtualRequestState>();
-    state->w = w_;
-    state->done = true;
-    return make_request(std::move(state));
-  }
 
   void send(int dest, int tag, std::vector<std::byte> payload) override {
     DSHUF_CHECK(dest >= 0 && dest < size(), "send destination out of range");
@@ -361,25 +309,14 @@ class VirtualCommunicator final : public comm::Communicator {
     w_->send_from(rank_, dest, std::move(msg));
   }
 
-  comm::Request irecv(int source, int tag) override {
-    DSHUF_CHECK(source == comm::kAnySource || (source >= 0 && source < size()),
-                "irecv source out of range");
-    return w_->post_irecv(rank_, source, tag);
-  }
-
   comm::Message recv(int source, int tag) override {
-    comm::Request r = irecv(source, tag);
-    r.wait();
-    return r.message();
+    DSHUF_CHECK(source == comm::kAnySource || (source >= 0 && source < size()),
+                "recv source out of range");
+    return w_->recv_on(rank_, source, tag);
   }
 
   std::optional<comm::Message> poll(int source, int tag) override {
     return w_->poll_on(rank_, source, tag);
-  }
-
-  bool cancel(comm::Request& request) override {
-    DSHUF_CHECK(request.valid(), "cancel() on an empty request");
-    return w_->cancel_on(rank_, request);
   }
 
   [[nodiscard]] bool fault_injection_enabled() const override {
@@ -400,16 +337,6 @@ class VirtualCommunicator final : public comm::Communicator {
   }
 
   [[nodiscard]] comm::BufferPool& pool() override { return w_->pool(rank_); }
-
-  // make_request / request_state are protected in the base; the world's
-  // mailbox code (not itself a Communicator) goes through these.
-  static comm::Request wrap(std::shared_ptr<comm::detail::RequestState> s) {
-    return make_request(std::move(s));
-  }
-  [[nodiscard]] static const std::shared_ptr<comm::detail::RequestState>&
-  state_of(const comm::Request& r) {
-    return request_state(r);
-  }
 
  protected:
   [[nodiscard]] comm::detail::CollectiveSlots& collective_slots() override {
@@ -661,38 +588,25 @@ void VirtualWorldState::deliver(int dest, comm::Message msg,
 
 void VirtualWorldState::deposit(int dest, comm::Message msg) {
   VMailbox& mb = mailboxes_[static_cast<std::size_t>(dest)];
-  for (auto it = mb.parked.begin(); it != mb.parked.end(); ++it) {
-    VirtualRequestState& st = **it;
-    if (matches_msg(st.source, st.tag, msg) &&
-        (st.source == comm::kAnySource || st.source == msg.source)) {
-      std::shared_ptr<VirtualRequestState> state = std::move(*it);
-      mb.parked.erase(it);
-      state->msg = std::move(msg);
-      state->done = true;
-      make_runnable(state->owner);
-      return;
-    }
+  if (mb.waiting && matches_msg(mb.want_source, mb.want_tag, msg)) {
+    mb.waiting = false;
+    mb.handed = std::move(msg);
+    make_runnable(dest);
+    return;
   }
   mb.arrived.push_back(std::move(msg));
 }
 
-comm::Request VirtualWorldState::post_irecv(int rank, int source, int tag) {
-  auto state = std::make_shared<VirtualRequestState>();
-  state->w = this;
-  state->owner = rank;
-  state->source = source;
-  state->tag = tag;
+comm::Message VirtualWorldState::recv_on(int rank, int source, int tag) {
+  if (auto m = poll_on(rank, source, tag)) return std::move(*m);
   VMailbox& mb = mailboxes_[static_cast<std::size_t>(rank)];
-  for (auto it = mb.arrived.begin(); it != mb.arrived.end(); ++it) {
-    if (matches_msg(source, tag, *it)) {
-      state->msg = std::move(*it);
-      mb.arrived.erase(it);
-      state->done = true;
-      return VirtualCommunicator::wrap(std::move(state));
-    }
-  }
-  mb.parked.push_back(state);
-  return VirtualCommunicator::wrap(std::move(state));
+  mb.waiting = true;
+  mb.want_source = source;
+  mb.want_tag = tag;
+  while (!mb.handed) block("recv");
+  comm::Message m = std::move(*mb.handed);
+  mb.handed.reset();
+  return m;
 }
 
 std::optional<comm::Message> VirtualWorldState::poll_on(int rank, int source,
@@ -706,21 +620,6 @@ std::optional<comm::Message> VirtualWorldState::poll_on(int rank, int source,
     }
   }
   return std::nullopt;
-}
-
-bool VirtualWorldState::cancel_on(int rank, comm::Request& request) {
-  auto* st = dynamic_cast<VirtualRequestState*>(
-      VirtualCommunicator::state_of(request).get());
-  if (st == nullptr) return false;
-  VMailbox& mb = mailboxes_[static_cast<std::size_t>(rank)];
-  for (auto it = mb.parked.begin(); it != mb.parked.end(); ++it) {
-    if (it->get() == st) {
-      mb.parked.erase(it);
-      st->cancelled_flag = true;
-      return true;
-    }
-  }
-  return false;  // already matched (or a send request) — nothing to cancel
 }
 
 // ---- rendezvous primitives ----
@@ -828,9 +727,6 @@ void VirtualWorldState::check_drained() {
     DSHUF_CHECK(mb.arrived.empty(),
                 "rank " << r << " finished with " << mb.arrived.size()
                         << " unreceived message(s)");
-    DSHUF_CHECK(mb.parked.empty(),
-                "rank " << r << " finished with " << mb.parked.size()
-                        << " unmatched irecv(s)");
   }
 }
 
@@ -920,7 +816,7 @@ void VirtualWorldState::run(
                   << (f.blocked_reason ? f.blocked_reason : "?");
         }
         // Unwind the blocked fibers before reporting: each wakes into
-        // block()'s abort check and throws, so its stack (and the requests
+        // block()'s abort check and throws, so its stack (and the buffers
         // it owns) is destroyed rather than dropped.
         abort_world();
         run_runnable();
@@ -958,10 +854,7 @@ void VirtualWorldState::run(
   if (error) {
     // The aborted run's ranks have unwound; nothing will take what is
     // left in their mailboxes.
-    for (VMailbox& mb : mailboxes_) {
-      mb.arrived.clear();
-      mb.parked.clear();
-    }
+    for (VMailbox& mb : mailboxes_) mb = VMailbox{};
     std::rethrow_exception(error);
   }
   check_drained();

@@ -13,14 +13,16 @@
 //     so collective results are bit-identical across backends by
 //     construction.
 //   * Time is VIRTUAL: Communicator::now_us() reads the event loop's
-//     clock, and every blocking primitive (recv, wait_for, backoff,
-//     barrier, fence) suspends the fiber until an event advances it. A
+//     clock, and every blocking primitive (recv, backoff, barrier, fence)
+//     suspends the fiber until an event advances it. A
 //     4096-rank epoch simulates in wall-clock seconds because idle
 //     virtual time costs nothing.
 //   * Message timing comes from the incremental max-min-fair FlowEngine:
 //     each point-to-point payload becomes a flow over its NIC (and, under
 //     a topology, group uplink/downlink) links; the delivery event fires
-//     at the flow's simulated completion. The obs VirtualClock is
+//     at the flow's simulated completion (so, unlike the threaded World, a
+//     smaller message can overtake a larger one sent earlier on the same
+//     source and tag). The obs VirtualClock is
 //     installed for the duration of run(), so spans and histograms
 //     recorded by rank code carry virtual timestamps.
 //   * Faults replay the SAME pure oracle as the threaded injector

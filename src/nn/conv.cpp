@@ -110,7 +110,7 @@ void Conv1d::backward_into(const Tensor& grad_out, Tensor& grad_in) {
   grad_in.resize2(N, in_channels_ * length_);
   grad_in.zero();
 
-  // dcols = W^T * dY_big, then the adjoint scatter back to signal layout.
+  // dcols = W^T * dY_big, then col2im accumulates it back to signal layout.
   const Tensor& g_big = scratch(kGradBigSlot);
   Tensor& dcols = scratch(kDColsSlot);
   dcols.resize2(ck, nl);

@@ -9,7 +9,7 @@
 // where the paper's models differ architecturally.
 //
 // Conv1d is computed as im2col + GEMM (tensor/im2col.hpp feeding the
-// blocked kernel), with the bias fused into the scatter back to the
+// blocked kernel), with the bias fused into the copy back to the
 // layer's [N, out_c * L] layout. The pre-overhaul scalar loops survive as
 // kernel_ref::conv1d_*_ref, the equivalence tests' oracle.
 #pragma once

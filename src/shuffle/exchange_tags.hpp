@@ -19,7 +19,7 @@
 // peer's or epoch's receive — an escapee is caught by World::check_drained
 // instead of silently corrupting the exchange.
 //
-// Every isend/irecv in exchange code must derive its tag through these
+// Every send/recv/poll in exchange code must derive its tag through these
 // helpers; dshuf_lint (tools/dshuf_lint) rejects raw tag literals.
 #pragma once
 

@@ -103,7 +103,7 @@ OverlapResult run_overlapped_epochs(const OverlapConfig& cfg) {
                                            robust, &scratch[r]);
         // Post as a comm task when a scheduler is active, so frame packing
         // itself moves off the rank's critical path; inline otherwise
-        // (the isends are asynchronous either way).
+        // (sends are buffered either way).
         task::Scheduler* const sched = task::global_scheduler();
         auto post_body = [&exchange] { exchange.post(); };
         task::ClosureTask<decltype(post_body)> post_task(post_body);

@@ -5,7 +5,8 @@
 // column n*length + t holds x[n][ic][t + k - pad], zero outside the
 // signal) so that Conv1d forward becomes a single GEMM:
 //   out_big[out_c, n_batch * length] = W[out_c, in_c * kernel] * cols.
-// col2im is the adjoint scatter-add used by the backward pass.
+// col2im is its adjoint (an accumulating copy back), used by the backward
+// pass.
 //
 // The valid window of each (ic, k) row is one contiguous run in t, so the
 // interior is a memcpy per (n, ic, k) rather than an element loop.
@@ -22,7 +23,7 @@ namespace dshuf::kernel {
 void im2col_1d(const float* x, std::size_t n_batch, std::size_t in_c,
                std::size_t length, std::size_t kernel, Tensor& cols);
 
-/// Adjoint of im2col_1d: scatter-adds dcols[in_c * kernel,
+/// Adjoint of im2col_1d: accumulates dcols[in_c * kernel,
 /// n_batch * length] back into grad_x = [n_batch, in_c * length].
 /// The caller must zero grad_x first.
 void col2im_1d(const Tensor& dcols, std::size_t n_batch, std::size_t in_c,

@@ -6,9 +6,9 @@
 // cross-thread acquisition cycle (the deadlock precondition) impossible.
 // The project-wide order, documented in DESIGN.md §8, is
 //
-//   task.scheduler < comm.mailbox < comm.request < comm.barrier
-//       < comm.fault < data.batch_loader < io.file_store < obs.registry
-//       < util.log
+//   task.scheduler < comm.mailbox < comm.barrier < comm.fault
+//       < shuffle.topology < shuffle.plan_cache < data.batch_loader
+//       < io.file_store < obs.registry < util.log
 //
 // i.e. the task scheduler's park/wake lock is lowest (it is only ever
 // taken at the queue boundary with nothing else held, and is NEVER held
@@ -45,7 +45,6 @@ enum class LockRank : int {
                        ///< lock while submitting tasks is a violation the
                        ///< checker reports
   kCommMailbox = 10,   ///< comm::detail::RankMailbox::mu
-  kCommRequest = 12,   ///< comm::detail::RequestState::mu
   kCommBarrier = 14,   ///< comm::detail::WorldState barrier
   kFault = 20,         ///< comm::FaultInjector queue/stats
   kShufflePolicy = 24, ///< shuffle::Topology process-wide policy slot —

@@ -1,32 +1,24 @@
 // Fault-injection machinery at the comm layer: the seeded plan is a pure
 // function of its inputs, the injector's drop/duplicate/delay/stall
-// behaviours are observable through the timeout-aware receive API, and the
-// whole schedule reproduces exactly from the fault seed.
+// behaviours are observable through recv/poll and the communicator's clock,
+// and the whole schedule reproduces exactly from the fault seed.
 // lint:tag-ok-file: exercises the raw transport — tags here name
 // transport-level channels under test, not PLS exchange rounds.
 #include "comm/fault.hpp"
 
 #include <atomic>
-#include <cstring>
+#include <chrono>
 
 #include <gtest/gtest.h>
 
+#include "point_to_point_check.hpp"
 #include "util/error.hpp"
 
 namespace dshuf::comm {
 namespace {
 
-std::vector<std::byte> bytes_of(int v) {
-  std::vector<std::byte> b(sizeof(int));
-  std::memcpy(b.data(), &v, sizeof(int));
-  return b;
-}
-
-int int_of(const std::vector<std::byte>& b) {
-  int v = 0;
-  std::memcpy(&v, b.data(), sizeof(int));
-  return v;
-}
+using p2p_check::bytes_of;
+using p2p_check::int_of;
 
 using std::chrono::milliseconds;
 
@@ -93,17 +85,17 @@ TEST(FaultPlan, ZeroSpecIsTransparent) {
   }
 }
 
-TEST(ChaosComm, DroppedMessageTimesOutAndCancels) {
+TEST(ChaosComm, DroppedMessageNeverArrives) {
   FaultSpec spec;
   spec.drop_prob = 1.0;
   World world(2);
   world.set_fault_plan(FaultPlan(5, spec));
   world.run([](Communicator& c) {
-    if (c.rank() == 0) {
-      c.isend(1, 0, bytes_of(42));  // vanishes
-    } else {
-      const auto got = c.recv_for(0, 0, milliseconds(50));
-      EXPECT_FALSE(got.has_value());
+    if (c.rank() == 0) c.send(1, 0, bytes_of(42));  // vanishes
+    c.barrier();
+    c.fence_faults();  // nothing is left in flight
+    if (c.rank() == 1) {
+      EXPECT_FALSE(c.poll(0, 0).has_value());
     }
   });
   const auto stats = world.fault_stats();
@@ -118,12 +110,10 @@ TEST(ChaosComm, DuplicateDeliversTwoCopies) {
   world.set_fault_plan(FaultPlan(5, spec));
   world.run([](Communicator& c) {
     if (c.rank() == 0) {
-      c.isend(1, 0, bytes_of(7));
+      c.send(1, 0, bytes_of(7));
     } else {
       EXPECT_EQ(int_of(c.recv(0, 0).payload), 7);
-      const auto dup = c.recv_for(0, 0, milliseconds(500));
-      ASSERT_TRUE(dup.has_value());
-      EXPECT_EQ(int_of(dup->payload), 7);
+      EXPECT_EQ(int_of(c.recv(0, 0).payload), 7);  // the duplicate
     }
   });
   EXPECT_EQ(world.fault_stats().duplicated, 1U);
@@ -136,16 +126,15 @@ TEST(ChaosComm, DelayedMessageArrivesLate) {
   spec.max_delay_us = 30'000;
   World world(2);
   world.set_fault_plan(FaultPlan(5, spec));
-  world.run([](Communicator& c) {
+  std::atomic<std::uint64_t> sending_at{0};
+  world.run([&](Communicator& c) {
     if (c.rank() == 0) {
-      c.isend(1, 0, bytes_of(3));
+      sending_at.store(c.now_us());
+      c.send(1, 0, bytes_of(3));
     } else {
-      Request r = c.irecv(0, 0);
-      // Not yet due...
-      EXPECT_FALSE(r.wait_for(std::chrono::microseconds(1000)));
-      // ...but it must land once the delay elapses.
-      EXPECT_TRUE(r.wait_for(milliseconds(2000)));
-      EXPECT_EQ(int_of(r.message().payload), 3);
+      EXPECT_EQ(int_of(c.recv(0, 0).payload), 3);
+      // The send read the clock first, so the delay fits in between.
+      EXPECT_GE(c.now_us() - sending_at.load(), 30'000U);
     }
   });
   EXPECT_EQ(world.fault_stats().delayed, 1U);
@@ -167,12 +156,12 @@ TEST(ChaosComm, DelaysReorderAcrossSources) {
   world.set_fault_plan(FaultPlan(11, spec));
   world.run([](Communicator& c) {
     if (c.rank() == 0) {
-      c.isend(1, 0, bytes_of(100));  // delayed 50 ms
+      c.send(1, 0, bytes_of(100));  // delayed 50 ms
       c.barrier();
     } else if (c.rank() == 2) {
-      c.barrier();  // sends strictly after rank 0's isend returned
+      c.barrier();  // sends strictly after rank 0's send returned
       // Give this message a distinct tag so its (src, tag) stream differs.
-      c.isend(1, 1, bytes_of(200));
+      c.send(1, 1, bytes_of(200));
     } else {
       c.barrier();
       // Both in flight; the later-but-undelayed or shorter-delayed one may
@@ -193,7 +182,7 @@ TEST(ChaosComm, LoopbackIsExempt) {
   world.set_fault_plan(FaultPlan(5, spec));
   world.run([](Communicator& c) {
     // Self-sends never cross the wire, so even drop_prob = 1 delivers.
-    c.isend(c.rank(), 9, bytes_of(c.rank()));
+    c.send(c.rank(), 9, bytes_of(c.rank()));
     EXPECT_EQ(int_of(c.recv(c.rank(), 9).payload), c.rank());
   });
   EXPECT_EQ(world.fault_stats().delivered, 2U);
@@ -206,13 +195,15 @@ TEST(ChaosComm, StallHoldsEarlySends) {
   spec.stall_us = 40'000;
   World world(2);
   world.set_fault_plan(FaultPlan(21, spec));
-  world.run([](Communicator& c) {
+  // The stall window opens when run() starts, which is after this.
+  const auto before_run = std::chrono::steady_clock::now();
+  world.run([&](Communicator& c) {
     if (c.rank() == 0) {
-      c.isend(1, 0, bytes_of(1));
+      c.send(1, 0, bytes_of(1));
     } else {
-      Request r = c.irecv(0, 0);
-      EXPECT_FALSE(r.wait_for(std::chrono::microseconds(1000)));
-      EXPECT_TRUE(r.wait_for(milliseconds(2000)));
+      EXPECT_EQ(int_of(c.recv(0, 0).payload), 1);
+      EXPECT_GE(std::chrono::steady_clock::now() - before_run,
+                milliseconds(40));
     }
   });
   EXPECT_EQ(world.fault_stats().stalled, 1U);
@@ -226,7 +217,7 @@ TEST(ChaosComm, FenceFlushesDelayedMessages) {
   World world(2);
   world.set_fault_plan(FaultPlan(5, spec));
   world.run([](Communicator& c) {
-    if (c.rank() == 0) c.isend(1, 0, bytes_of(8));
+    if (c.rank() == 0) c.send(1, 0, bytes_of(8));
     c.barrier();
     c.fence_faults();
     if (c.rank() == 1) {
@@ -239,57 +230,7 @@ TEST(ChaosComm, FenceFlushesDelayedMessages) {
 }
 
 TEST(ChaosComm, PollOnlyTakesArrivedMessages) {
-  World world(2);
-  world.run([](Communicator& c) {
-    // Two barriers order the send strictly between rank 0's polls: the
-    // first keeps rank 1 from sending before the empty poll, the second
-    // keeps rank 0 from polling again before the send.
-    if (c.rank() == 0) {
-      EXPECT_FALSE(c.poll(1, 0).has_value());  // nothing sent yet
-      c.barrier();
-      c.barrier();
-      const auto got = c.poll(kAnySource, kAnyTag);
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ(int_of(got->payload), 4);
-    } else {
-      c.barrier();
-      c.isend(0, 0, bytes_of(4));
-      c.barrier();
-    }
-  });
-}
-
-TEST(ChaosComm, CancelRetiresPendingReceive) {
-  World world(2);
-  world.run([](Communicator& c) {
-    if (c.rank() == 0) {
-      Request r = c.irecv(1, 77);
-      EXPECT_FALSE(r.wait_for(std::chrono::microseconds(500)));
-      EXPECT_TRUE(c.cancel(r));
-      EXPECT_TRUE(r.cancelled());
-      c.barrier();
-      // The message arrives AFTER the cancel; it must stay in the mailbox
-      // for a fresh receive rather than matching the cancelled request.
-      EXPECT_EQ(int_of(c.recv(1, 77).payload), 5);
-    } else {
-      c.barrier();
-      c.isend(0, 77, bytes_of(5));
-    }
-  });
-}
-
-TEST(ChaosComm, CancelFailsOnCompletedRequest) {
-  World world(2);
-  world.run([](Communicator& c) {
-    if (c.rank() == 0) {
-      Request r = c.irecv(1, 0);
-      r.wait();
-      EXPECT_FALSE(c.cancel(r));  // already matched; message available
-      EXPECT_EQ(int_of(r.message().payload), 6);
-    } else {
-      c.isend(0, 0, bytes_of(6));
-    }
-  });
+  p2p_check::expect_poll_takes_only_arrived_messages<World>();
 }
 
 TEST(ChaosComm, SameSeedReproducesTheSchedule) {
@@ -308,7 +249,7 @@ TEST(ChaosComm, SameSeedReproducesTheSchedule) {
       constexpr int kMsgs = 16;
       for (int t = 0; t < kMsgs; ++t) {
         for (int d = 0; d < 4; ++d) {
-          if (d != c.rank()) c.isend(d, t, bytes_of(t));
+          if (d != c.rank()) c.send(d, t, bytes_of(t));
         }
       }
       c.barrier();
@@ -345,7 +286,7 @@ TEST(ChaosComm, RerunResetsAttemptCounters) {
   auto body = [](Communicator& c) {
     int got = 0;
     if (c.rank() == 0) {
-      for (int t = 0; t < 12; ++t) c.isend(1, t, bytes_of(t));
+      for (int t = 0; t < 12; ++t) c.send(1, t, bytes_of(t));
       c.barrier();
     } else {
       c.barrier();
@@ -373,15 +314,17 @@ TEST(ChaosComm, ClearFaultPlanRestoresPerfectDelivery) {
   World world(2);
   world.set_fault_plan(FaultPlan(5, spec));
   world.run([](Communicator& c) {
-    if (c.rank() == 0) c.isend(1, 0, bytes_of(1));
+    if (c.rank() == 0) c.send(1, 0, bytes_of(1));
+    c.barrier();
+    c.fence_faults();
     if (c.rank() == 1) {
-      EXPECT_FALSE(c.recv_for(0, 0, milliseconds(30)).has_value());
+      EXPECT_FALSE(c.poll(0, 0).has_value());
     }
   });
   world.clear_fault_plan();
   world.run([](Communicator& c) {
     EXPECT_FALSE(c.fault_injection_enabled());
-    if (c.rank() == 0) c.isend(1, 0, bytes_of(2));
+    if (c.rank() == 0) c.send(1, 0, bytes_of(2));
     if (c.rank() == 1) {
       EXPECT_EQ(int_of(c.recv(0, 0).payload), 2);
     }

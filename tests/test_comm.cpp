@@ -3,34 +3,24 @@
 #include "comm/comm.hpp"
 
 #include <atomic>
-#include <cstring>
-#include <numeric>
 
 #include <gtest/gtest.h>
 
 #include "allreduce_check.hpp"
+#include "point_to_point_check.hpp"
 #include "util/error.hpp"
 
 namespace dshuf::comm {
 namespace {
 
-std::vector<std::byte> bytes_of(int v) {
-  std::vector<std::byte> b(sizeof(int));
-  std::memcpy(b.data(), &v, sizeof(int));
-  return b;
-}
-
-int int_of(const std::vector<std::byte>& b) {
-  int v = 0;
-  std::memcpy(&v, b.data(), sizeof(int));
-  return v;
-}
+using p2p_check::bytes_of;
+using p2p_check::int_of;
 
 TEST(Comm, PointToPointSendRecv) {
   World world(2);
   world.run([](Communicator& c) {
     if (c.rank() == 0) {
-      c.isend(1, /*tag=*/7, bytes_of(42));
+      c.send(1, /*tag=*/7, bytes_of(42));
     } else {
       const Message m = c.recv(0, 7);
       EXPECT_EQ(int_of(m.payload), 42);
@@ -41,78 +31,23 @@ TEST(Comm, PointToPointSendRecv) {
 }
 
 TEST(Comm, AnySourceMatchesWhoeverSends) {
-  World world(3);
-  world.run([](Communicator& c) {
-    if (c.rank() != 0) {
-      c.isend(0, 1, bytes_of(c.rank()));
-    } else {
-      int sum = 0;
-      for (int i = 0; i < 2; ++i) {
-        const Message m = c.recv(kAnySource, 1);
-        sum += int_of(m.payload);
-      }
-      EXPECT_EQ(sum, 3);  // 1 + 2
-    }
-  });
+  p2p_check::expect_any_source_matches_every_sender<World>();
 }
 
 TEST(Comm, TagsSelectMessages) {
-  World world(2);
-  world.run([](Communicator& c) {
-    if (c.rank() == 0) {
-      c.isend(1, /*tag=*/5, bytes_of(55));
-      c.isend(1, /*tag=*/9, bytes_of(99));
-    } else {
-      // Receive tag 9 first even though tag 5 arrived first.
-      const Message m9 = c.recv(0, 9);
-      EXPECT_EQ(int_of(m9.payload), 99);
-      const Message m5 = c.recv(0, 5);
-      EXPECT_EQ(int_of(m5.payload), 55);
-    }
-  });
+  p2p_check::expect_tags_select_messages<World>();
 }
 
 TEST(Comm, NonOvertakingPerSourceAndTag) {
-  World world(2);
-  world.run([](Communicator& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 16; ++i) c.isend(1, 3, bytes_of(i));
-    } else {
-      for (int i = 0; i < 16; ++i) {
-        EXPECT_EQ(int_of(c.recv(0, 3).payload), i);
-      }
-    }
-  });
+  p2p_check::expect_non_overtaking_per_source_and_tag<World>();
 }
 
-TEST(Comm, IrecvParksUntilMessageArrives) {
-  World world(2);
-  world.run([](Communicator& c) {
-    if (c.rank() == 1) {
-      Request r = c.irecv(0, 2);
-      // Possibly not done yet; wait() must complete once rank 0 sends.
-      r.wait();
-      EXPECT_EQ(int_of(r.message().payload), 7);
-    } else {
-      c.isend(1, 2, bytes_of(7));
-    }
-  });
+TEST(Comm, BlockedRecvCompletesOnALaterSend) {
+  p2p_check::expect_blocked_recv_completes_on_later_send<World>();
 }
 
-TEST(Comm, WaitAllCompletesMixedRequests) {
-  World world(2);
-  world.run([](Communicator& c) {
-    std::vector<Request> reqs;
-    const int peer = 1 - c.rank();
-    for (int i = 0; i < 8; ++i) {
-      reqs.push_back(c.isend(peer, i, bytes_of(i)));
-      reqs.push_back(c.irecv(peer, i));
-    }
-    wait_all(reqs);
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(int_of(reqs[2 * i + 1].message().payload), i);
-    }
-  });
+TEST(Comm, BlockedRecvSkipsNonMatchingArrivals) {
+  p2p_check::expect_blocked_recv_skips_non_matching_arrivals<World>();
 }
 
 TEST(Comm, BarrierSynchronises) {
@@ -158,77 +93,12 @@ TEST(Comm, AllreduceMatchesRankOrderSumBitForBit) {
   allreduce_check::expect_rank_order_sums<World>();
 }
 
-TEST(Comm, BcastDistributesRootPayload) {
-  World world(3);
-  world.run([](Communicator& c) {
-    std::vector<std::byte> payload;
-    if (c.rank() == 1) payload = bytes_of(1234);
-    const auto got = c.bcast(1, payload);
-    EXPECT_EQ(int_of(got), 1234);
-  });
-}
-
-TEST(Comm, AlltoallvPersonalisedExchange) {
-  World world(3);
-  world.run([](Communicator& c) {
-    std::vector<std::vector<std::byte>> send(3);
-    for (int d = 0; d < 3; ++d) {
-      send[d] = bytes_of(c.rank() * 10 + d);
-    }
-    const auto got = c.alltoallv(std::move(send));
-    ASSERT_EQ(got.size(), 3U);
-    for (int s = 0; s < 3; ++s) {
-      EXPECT_EQ(int_of(got[s]), s * 10 + c.rank());
-    }
-  });
-}
-
-TEST(Comm, GatherCollectsAtRootOnly) {
-  World world(4);
-  world.run([](Communicator& c) {
-    const auto got = c.gather(2, bytes_of(c.rank() * 11));
-    if (c.rank() == 2) {
-      ASSERT_EQ(got.size(), 4U);
-      for (int s = 0; s < 4; ++s) EXPECT_EQ(int_of(got[s]), s * 11);
-    } else {
-      EXPECT_TRUE(got.empty());
-    }
-  });
-}
-
 TEST(Comm, AllgatherGivesEveryoneEverything) {
-  World world(3);
-  world.run([](Communicator& c) {
-    const auto got = c.allgather(bytes_of(100 + c.rank()));
-    ASSERT_EQ(got.size(), 3U);
-    for (int s = 0; s < 3; ++s) EXPECT_EQ(int_of(got[s]), 100 + s);
-  });
+  p2p_check::expect_allgather_unequal_lengths<World>();
 }
 
-TEST(Comm, ReduceSumDeliversAtRoot) {
-  World world(4);
-  world.run([](Communicator& c) {
-    const std::vector<double> contrib{static_cast<double>(c.rank() + 1)};
-    const auto got = c.reduce_sum(0, contrib);
-    if (c.rank() == 0) {
-      ASSERT_EQ(got.size(), 1U);
-      EXPECT_DOUBLE_EQ(got[0], 1 + 2 + 3 + 4);
-    } else {
-      EXPECT_TRUE(got.empty());
-    }
-  });
-}
-
-TEST(Comm, ScatterDistributesRootShares) {
-  World world(3);
-  world.run([](Communicator& c) {
-    std::vector<std::vector<std::byte>> shares;
-    if (c.rank() == 1) {
-      for (int d = 0; d < 3; ++d) shares.push_back(bytes_of(d * 7));
-    }
-    const auto mine = c.scatter(1, std::move(shares));
-    EXPECT_EQ(int_of(mine), c.rank() * 7);
-  });
+TEST(Comm, AllgatherExactAfterAbortedRun) {
+  p2p_check::expect_allgather_exact_after_aborted_run<World>();
 }
 
 TEST(Comm, ExceptionInOneRankPropagatesAndUnblocksOthers) {
@@ -247,7 +117,7 @@ TEST(Comm, ExceptionInOneRankPropagatesAndUnblocksOthers) {
 TEST(Comm, UndrainedMailboxIsAnError) {
   World world(2);
   EXPECT_THROW(world.run([](Communicator& c) {
-                 if (c.rank() == 0) c.isend(1, 0, bytes_of(1));
+                 if (c.rank() == 0) c.send(1, 0, bytes_of(1));
                  // Rank 1 never receives.
                }),
                CheckError);
@@ -258,7 +128,7 @@ TEST(Comm, WorldCanRunMultipleTimes) {
   for (int round = 0; round < 3; ++round) {
     world.run([round](Communicator& c) {
       if (c.rank() == 0) {
-        c.isend(1, round, bytes_of(round));
+        c.send(1, round, bytes_of(round));
       } else {
         EXPECT_EQ(int_of(c.recv(0, round).payload), round);
       }
@@ -275,7 +145,7 @@ TEST(Comm, ManyRanksStress) {
     const int left = (c.rank() + kRanks - 1) % kRanks;
     int token = c.rank();
     for (int lap = 0; lap < 4; ++lap) {
-      c.isend(right, lap, bytes_of(token));
+      c.send(right, lap, bytes_of(token));
       token = int_of(c.recv(left, lap).payload);
     }
     // After 4 laps the token originated 4 ranks to the left.
@@ -286,7 +156,7 @@ TEST(Comm, ManyRanksStress) {
 TEST(Comm, RejectsInvalidRanks) {
   World world(2);
   EXPECT_THROW(world.run([](Communicator& c) {
-                 if (c.rank() == 0) c.isend(5, 0, {});
+                 if (c.rank() == 0) c.send(5, 0, {});
                  c.barrier();
                }),
                CheckError);

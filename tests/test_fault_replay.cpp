@@ -66,7 +66,7 @@ RunResult run_once(std::uint64_t seed) {
           std::vector<std::byte> payload(sizeof(int));
           const int v = payload_value(c.rank(), tag, k);
           std::memcpy(payload.data(), &v, sizeof(int));
-          c.isend(dest, tag, std::move(payload));
+          c.send(dest, tag, std::move(payload));
         }
       }
     }
@@ -165,7 +165,7 @@ TEST(FaultReplay, AttemptCountersResetBetweenRuns) {
         std::vector<std::byte> payload(sizeof(int));
         const int v = payload_value(c.rank(), 0, k);
         std::memcpy(payload.data(), &v, sizeof(int));
-        c.isend(1 - c.rank(), 0, std::move(payload));
+        c.send(1 - c.rank(), 0, std::move(payload));
       }
       c.barrier();
       c.fence_faults();

@@ -203,7 +203,7 @@ TEST(Im2col, ColumnsMatchDirectIndexing) {
 
 TEST(Im2col, Col2imIsAdjoint) {
   // <im2col(x), d> must equal <x, col2im(d)> — the defining property of
-  // the backward scatter.
+  // the backward accumulation.
   const std::size_t n_batch = 3;
   const std::size_t in_c = 4;
   const std::size_t length = 9;

@@ -198,26 +198,28 @@ TEST(LintUnordered, ExplicitBeginWalkIsFlagged) {
 
 // ------------------------------------------------------ raw-tag-literal
 
-TEST(LintTags, FlagsLiteralTagOnIsendAndIrecv) {
+TEST(LintTags, FlagsLiteralTagOnSendRecvAndPoll) {
   const std::string code =
-      "void f(Communicator& c) {\n"
-      "  c.isend(1, 7, payload());\n"
-      "  c.irecv(0, 7);\n"
+      "void f(Communicator& c, Communicator* p) {\n"
+      "  c.send(1, 7, payload());\n"
+      "  c.recv(0, 7);\n"
+      "  p->poll(0, 7);\n"
       "}\n";
   const auto fs = scan_file(classify_path("src/shuffle/x.cpp"), code);
-  int raw = 0;
+  std::vector<std::size_t> lines;
   for (const auto& f : fs) {
-    if (f.rule == "raw-tag-literal") ++raw;
+    if (f.rule == "raw-tag-literal") lines.push_back(f.line);
   }
-  EXPECT_EQ(raw, 2);
+  EXPECT_EQ(lines, (std::vector<std::size_t>{2, 3, 4}));
 }
 
 TEST(LintTags, TagHelperExpressionsPass) {
   const std::string code =
       "void f(Communicator& c, std::size_t base, std::size_t q, int r) {\n"
-      "  c.isend(1, frame_data_tag(base, q, r), payload());\n"
-      "  c.irecv(0, frame_ack_tag(base, q, r));\n"
-      "  c.irecv(kAnySource, kAnyTag);\n"
+      "  c.send(1, frame_data_tag(base, q, r), payload());\n"
+      "  c.recv(0, frame_data_tag(base, q, r));\n"
+      "  c.poll(0, frame_ack_tag(base, q, r));\n"
+      "  c.poll(kAnySource, kAnyTag);\n"
       "}\n";
   const auto fs = scan_file(classify_path("src/shuffle/x.cpp"), code);
   EXPECT_FALSE(has_rule(fs, "raw-tag-literal"));
@@ -226,7 +228,7 @@ TEST(LintTags, TagHelperExpressionsPass) {
 TEST(LintTags, LineAnnotationSuppressesWithJustification) {
   const std::string code =
       "void f(Communicator& c) {\n"
-      "  c.isend(1, 7, payload());  // lint:tag-ok control channel probe\n"
+      "  c.send(1, 7, payload());  // lint:tag-ok control channel probe\n"
       "}\n";
   const auto fs = scan_file(classify_path("src/shuffle/x.cpp"), code);
   EXPECT_FALSE(has_rule(fs, "raw-tag-literal"));
@@ -236,8 +238,8 @@ TEST(LintTags, FileAnnotationSuppressesWholeFile) {
   const std::string code =
       "// lint:tag-ok-file: transport-level test names its own channels\n"
       "void f(Communicator& c) {\n"
-      "  c.isend(1, 7, payload());\n"
-      "  c.irecv(0, 9);\n"
+      "  c.send(1, 7, payload());\n"
+      "  c.recv(0, 9);\n"
       "}\n";
   const auto fs = scan_file(classify_path("tests/test_x.cpp"), code);
   EXPECT_FALSE(has_rule(fs, "raw-tag-literal"));
@@ -246,18 +248,19 @@ TEST(LintTags, FileAnnotationSuppressesWholeFile) {
 TEST(LintTags, BareFileAnnotationDemandsJustification) {
   const std::string code =
       "// lint:tag-ok-file\n"
-      "void f(Communicator& c) { c.isend(1, 7, payload()); }\n";
+      "void f(Communicator& c) { c.send(1, 7, payload()); }\n";
   const auto fs = scan_file(classify_path("tests/test_x.cpp"), code);
   EXPECT_TRUE(has_rule(fs, "tag-ok-justification"));
 }
 
-TEST(LintTags, DeclarationsAreNotCalls) {
-  // A prototype's second parameter is `int tag`, which references "tag" —
-  // the rule must not fire on declarations or the comm API itself.
+TEST(LintTags, OnlyMemberCallsAreChecked) {
+  // Declarations and a local vector named `recv` are not traffic through
+  // a communicator handle.
   const std::string code =
-      "Request isend(int dest, int tag, std::vector<std::byte> payload);\n"
-      "Request irecv(int source, int tag);\n";
-  const auto fs = scan_file(classify_path("src/comm/comm.hpp"), code);
+      "void send(int dest, int tag, std::vector<std::byte> payload);\n"
+      "Message recv(int source, int tag);\n"
+      "void g(int workers) { std::vector<std::size_t> recv(workers, 0); }\n";
+  const auto fs = scan_file(classify_path("src/shuffle/x.cpp"), code);
   EXPECT_FALSE(has_rule(fs, "raw-tag-literal"));
 }
 

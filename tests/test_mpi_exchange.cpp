@@ -33,7 +33,7 @@ TEST(MpiExchange, MatchesSequentialDriver) {
   const double q = 0.25;
   const std::uint64_t seed = 31;
 
-  // Threaded execution: one store per rank, real isend/irecv.
+  // Threaded execution: one store per rank, real send/recv.
   auto shards = make_shards(n, m);
   std::vector<ShardStore> stores;
   for (auto& s : shards) {
@@ -225,7 +225,7 @@ TEST(MpiExchangeEdge, EmptyShardsAreANoOp) {
 // model's Q * D / M (integer form pls_exchange_payload_bytes); every
 // offered byte is either framing or payload; and the outcome's
 // msgs_sent / bytes_sent march in lockstep with the comm layer's own
-// isend / bytes_sent counters.
+// comm.isend / comm.bytes_sent counters.
 TEST(MpiExchangeEdge, BytesAccountingMatchesTrafficModelAndCommCounters) {
   const std::size_t n = 48;
   const int m = 6;
@@ -240,9 +240,9 @@ TEST(MpiExchangeEdge, BytesAccountingMatchesTrafficModelAndCommCounters) {
   for (auto& s : shards) stores.emplace_back(std::move(s), shard + quota);
 
   std::vector<ExchangeOutcome> outcomes(static_cast<std::size_t>(m) * epochs);
-  auto& isend_counter = obs::Registry::instance().counter("comm.isend");
+  auto& sent_counter = obs::Registry::instance().counter("comm.isend");
   auto& bytes_counter = obs::Registry::instance().counter("comm.bytes_sent");
-  const std::uint64_t isend_before = isend_counter.value();
+  const std::uint64_t sent_before = sent_counter.value();
   const std::uint64_t bytes_before = bytes_counter.value();
 
   comm::World world(m);
@@ -287,7 +287,7 @@ TEST(MpiExchangeEdge, BytesAccountingMatchesTrafficModelAndCommCounters) {
     sum_msgs += o.msgs_sent;
     sum_bytes_sent += o.bytes_sent;
   }
-  EXPECT_EQ(isend_counter.value() - isend_before, sum_msgs);
+  EXPECT_EQ(sent_counter.value() - sent_before, sum_msgs);
   EXPECT_EQ(bytes_counter.value() - bytes_before, sum_bytes_sent);
 }
 
@@ -308,10 +308,6 @@ class FlowOrderCheckingComm final : public comm::Communicator {
         drop_first_attempt_(drop_first_attempt) {}
 
   [[nodiscard]] int size() const override { return inner_.size(); }
-  comm::Request isend(int dest, int tag,
-                      std::vector<std::byte> payload) override {
-    return inner_.isend(dest, tag, std::move(payload));
-  }
   void send(int dest, int tag, std::vector<std::byte> payload) override {
     if (!payload.empty()) {  // ACKs are empty; frames never are
       const std::uint64_t flow = parse_frame(payload).flow_id();
@@ -323,17 +319,11 @@ class FlowOrderCheckingComm final : public comm::Communicator {
     }
     inner_.send(dest, tag, std::move(payload));
   }
-  comm::Request irecv(int source, int tag) override {
-    return inner_.irecv(source, tag);
-  }
   comm::Message recv(int source, int tag) override {
     return inner_.recv(source, tag);
   }
   std::optional<comm::Message> poll(int source, int tag) override {
     return inner_.poll(source, tag);
-  }
-  bool cancel(comm::Request& request) override {
-    return inner_.cancel(request);
   }
   [[nodiscard]] bool fault_injection_enabled() const override {
     return inner_.fault_injection_enabled();

@@ -180,7 +180,7 @@ TEST(RankedMutexChaos, HappyPathHasNoFalsePositives) {
       const int v = c.rank() * 100 + round;
       std::memcpy(payload.data(), &v, sizeof(int));
       for (int dest = 0; dest < c.size(); ++dest) {
-        if (dest != c.rank()) c.isend(dest, round, payload);
+        if (dest != c.rank()) c.send(dest, round, payload);
       }
       LOG_DEBUG << "rank " << c.rank() << " sent round " << round;
       c.barrier();        // every rank has issued its sends

@@ -3,6 +3,8 @@
 // netsim::VirtualWorld's fibers — with bit-identical shards — while
 // virtual time, the flow-model network, and the fault oracle behave as
 // documented.
+// lint:tag-ok-file: transport probes name their own channels; the exchange
+// under test derives its tags from shuffle/exchange_tags.hpp.
 #include "netsim/virtual_comm.hpp"
 
 #include <cstring>
@@ -13,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "allreduce_check.hpp"
+#include "point_to_point_check.hpp"
 #include "comm/fault.hpp"
 #include "obs/metrics.hpp"
 #include "shuffle/exchange_plan.hpp"
@@ -65,6 +68,38 @@ TEST(VirtualWorld, CollectivesMatchTheSharedImplementation) {
 
 TEST(VirtualWorld, AllreduceMatchesRankOrderSumBitForBit) {
   allreduce_check::expect_rank_order_sums<VirtualWorld>();
+}
+
+TEST(VirtualWorld, AnySourceMatchesWhoeverSends) {
+  p2p_check::expect_any_source_matches_every_sender<VirtualWorld>();
+}
+
+TEST(VirtualWorld, TagsSelectMessages) {
+  p2p_check::expect_tags_select_messages<VirtualWorld>();
+}
+
+TEST(VirtualWorld, NonOvertakingPerSourceAndTag) {
+  p2p_check::expect_non_overtaking_per_source_and_tag<VirtualWorld>();
+}
+
+TEST(VirtualWorld, BlockedRecvCompletesOnALaterSend) {
+  p2p_check::expect_blocked_recv_completes_on_later_send<VirtualWorld>();
+}
+
+TEST(VirtualWorld, BlockedRecvSkipsNonMatchingArrivals) {
+  p2p_check::expect_blocked_recv_skips_non_matching_arrivals<VirtualWorld>();
+}
+
+TEST(VirtualWorld, PollOnlyTakesArrivedMessages) {
+  p2p_check::expect_poll_takes_only_arrived_messages<VirtualWorld>();
+}
+
+TEST(VirtualWorld, AllgatherGivesEveryoneEverything) {
+  p2p_check::expect_allgather_unequal_lengths<VirtualWorld>();
+}
+
+TEST(VirtualWorld, AllgatherExactAfterAbortedRun) {
+  p2p_check::expect_allgather_exact_after_aborted_run<VirtualWorld>();
 }
 
 TEST(VirtualWorld, TransferTimeFollowsTheFlowModel) {

@@ -401,7 +401,7 @@ void index_file(int file_id, const SourceFile& f, ProjectIndex& idx) {
 
 /// Second pass: variable -> class typing, using the full project's
 /// class-name set. Covers `ClassName [>*&]* var`, wrapper templates whose
-/// arguments name a project class (`shared_ptr<RequestState> state`,
+/// arguments name a project class (`unique_ptr<FaultInjector> injector_`,
 /// `std::vector<RankMailbox> mailboxes_`), and — in a follow-up pass —
 /// range-for bindings (`for (auto& mb : mailboxes_)` types `mb` as the
 /// container's element class).
@@ -560,9 +560,9 @@ std::vector<const MutexDecl*> resolve_mutex(const ProjectIndex& idx,
   // 1. Receiver with known candidate classes: intersect with the classes
   // actually owning a mutex of this name. A variable name declared as
   // several project classes still resolves when only one of them has the
-  // member (`state->mu` where only RequestState owns a `mu`). Call-result
-  // receivers (`state().mu`) skip this — a function name is not a
-  // variable — and fall to the locality heuristics below.
+  // member (`x->mu` where only one of x's candidate classes owns a `mu`).
+  // Call-result receivers (`state().mu`) skip this — a function name is
+  // not a variable — and fall to the locality heuristics below.
   if (!receiver.empty() && receiver_is_var) {
     const auto vc = idx.var_class.find(receiver);
     if (vc != idx.var_class.end()) {

@@ -247,19 +247,28 @@ void check_raw_tags(const SourceFile& f, std::vector<Finding>& out) {
     return static_cast<std::size_t>(it - line_starts.begin());  // 1-based
   };
 
-  for (const char* fn : {"isend", "irecv"}) {
+  auto is_space = [](char c) { return c == ' ' || c == '\n'; };
+  for (const std::string fn : {"send", "recv", "poll"}) {
     std::size_t p = 0;
     while ((p = find_word(text, fn, p)) != std::string::npos) {
-      std::size_t q = p + 5;
-      while (q < text.size() && (text[q] == ' ' || text[q] == '\n')) ++q;
-      if (q >= text.size() || text[q] != '(') {
+      // Only member calls (`c.send(` / `c->send(`) go through a
+      // communicator; a bare `recv(n, 0)` is a local vector, a
+      // declaration or an unrelated free function.
+      std::size_t b = p;
+      while (b > 0 && is_space(text[b - 1])) --b;
+      const bool member = b > 0 && (text[b - 1] == '.' ||
+                                    (text[b - 1] == '>' && b > 1 &&
+                                     text[b - 2] == '-'));
+      std::size_t q = p + fn.size();
+      while (q < text.size() && is_space(text[q])) ++q;
+      if (!member || q >= text.size() || text[q] != '(') {
         p = q;
         continue;
       }
       const auto args = call_args(text, q);
       p = q;
-      // isend(dest, tag, payload) / irecv(source, tag): the tag is always
-      // argument #2. Declarations pass too ("int tag" mentions tag).
+      // send(dest, tag, payload) / recv(source, tag) / poll(source, tag):
+      // the tag is always argument #2.
       if (args.size() < 2) continue;
       const std::string tag_arg = lower(trim(args[1]));
       if (tag_arg.find("tag") != std::string::npos) continue;
@@ -277,7 +286,7 @@ void check_raw_tags(const SourceFile& f, std::vector<Finding>& out) {
       }
       out.push_back(
           {f.cls.path, lineno, "lint", "raw-tag-literal",
-           std::string(fn) + " tag '" + trim(args[1]) +
+           fn + " tag '" + trim(args[1]) +
                "' does not reference a tag helper — derive it from the "
                "per-epoch helpers in shuffle/exchange_tags.hpp (or "
                "annotate `// lint:tag-ok <why>`)",

@@ -6,8 +6,9 @@
 //   banned-random          entropy/wall-clock sources outside util/rng.*
 //   unordered-iteration    hash-order iteration in determinism-critical
 //                          namespaces (`// lint:ordered-ok <why>` waives)
-//   raw-tag-literal        isend/irecv tag args that bypass
-//                          shuffle/exchange_tags.hpp (`// lint:tag-ok`)
+//   raw-tag-literal        send/recv/poll member-call tag args that
+//                          bypass shuffle/exchange_tags.hpp
+//                          (`// lint:tag-ok`)
 //   raw-stdout             std::cout/cerr in src/ (`// lint:stdout-ok`)
 //   raw-mmap               mmap/munmap/mremap/msync call-sites in src/
 //                          outside src/io/ — mappings belong to

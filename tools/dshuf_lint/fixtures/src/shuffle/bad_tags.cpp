@@ -5,9 +5,9 @@
 namespace dshuf::shuffle {
 
 void raw_tag_exchange(comm::Communicator& comm) {
-  comm.isend(0, 7, {});              // raw literal collides across epochs
-  auto r = comm.irecv(comm::kAnySource, 7);
-  r.wait();
+  comm.send(0, 7, {});                // raw literal collides across epochs
+  auto m = comm.recv(comm::kAnySource, 7);
+  auto stray = comm.poll(0, 7);
 }
 
 }  // namespace dshuf::shuffle

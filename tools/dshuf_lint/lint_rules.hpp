@@ -20,7 +20,8 @@
 //                       same or the preceding line.
 //   ordered-ok-justification  a lint:ordered-ok annotation with no
 //                       justification text (the contract requires one).
-//   raw-tag-literal     an isend/irecv whose tag argument does not
+//   raw-tag-literal     a send/recv/poll member call (`c.send(` or
+//                       `c->send(`) whose tag argument (#2) does not
 //                       reference a tag helper/constant (it must mention
 //                       `tag`, e.g. frame_data_tag(...), kAnyTag,
 //                       tag_base). Raw literals collide across epochs.
